@@ -71,11 +71,15 @@ def _resolve_cache_path(args):
     return os.environ.get(CACHE_ENV) or None
 
 
+def _add_cache(sub):
+    sub.add_argument("--cache", default=None, metavar="PATH",
+                     help="cache file (default: $%s if set)" % CACHE_ENV)
+
+
 def _add_common(sub, fmt_default="text"):
     sub.add_argument("--engine", choices=("modsym", "trace", "both"),
                      default="modsym", help="characteristic polynomial engine")
-    sub.add_argument("--cache", default=None, metavar="PATH",
-                     help="cache file (default: $%s if set)" % CACHE_ENV)
+    _add_cache(sub)
     sub.add_argument("--format", dest="fmt", choices=FORMATS, default=fmt_default)
 
 
@@ -197,9 +201,9 @@ def cmd_survey(args):
         return EXIT_USAGE
     config = SurveyConfig(primes=primes, levels=levels, k_max=args.k_max,
                           engine=args.engine, cache_path=_resolve_cache_path(args),
-                          fmt=args.fmt, workers=args.workers)
+                          workers=args.workers)
     result = run_survey(config)
-    _print(render_report(result, config.fmt))
+    _print(render_report(result, args.fmt))
     if any(kind in ("ConsistencyError", "ArithmeticError") for _, _, kind, _ in result.errors):
         return EXIT_INCONSISTENT
     if any(row.status == "inconclusive" for row in result.rows):
@@ -311,7 +315,7 @@ def build_parser():
     sp.add_argument("--k-max", dest="k_max", type=int, default=16)
     sp.add_argument("--direct-cap", dest="direct_cap", type=int, default=DIRECT_DIM_CAP,
                     help="skip direct level-Np checks above this dimension")
-    _add_common(sp)
+    _add_cache(sp)
     sp.set_defaults(func=cmd_crosscheck)
     return parser
 

@@ -6,8 +6,9 @@ bookkeeping behind old/new decompositions at level N*p.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
-from .exact import factorize, kronecker
+from .exact import divisors, euler_phi, factorize, kronecker
 
 __all__ = [
     "psi_index", "nu2", "nu3", "nu_infinity", "genus",
@@ -51,28 +52,7 @@ def nu3(N):
 
 def nu_infinity(N):
     """Number of cusps of X_0(N): sum over d|N of phi(gcd(d, N/d))."""
-    out = 0
-    fac = factorize(N)
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    for d in divs:
-        g = _gcd(d, N // d)
-        out += _euler_phi(g)
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _euler_phi(n):
-    out = n
-    for p in factorize(n):
-        out = out // p * (p - 1)
-    return out
+    return sum(euler_phi(gcd(d, N // d)) for d in divisors(N))
 
 
 def genus(N):

@@ -11,7 +11,7 @@ from math import gcd
 __all__ = [
     "INFINITY", "IntPolynomial", "NewtonPolygon", "SlopeMultiset",
     "valuation", "newton_slopes", "inverse_charpoly",
-    "is_prime", "kronecker", "factorize", "divisors",
+    "is_prime", "kronecker", "factorize", "divisors", "euler_phi",
 ]
 
 
@@ -102,6 +102,14 @@ def divisors(n):
     for p, e in factorize(n).items():
         ds = [d * p ** i for d in ds for i in range(e + 1)]
     return sorted(ds)
+
+
+def euler_phi(n):
+    """Euler's totient of n >= 1."""
+    out = n
+    for p in factorize(n):
+        out = out // p * (p - 1)
+    return out
 
 
 # ----------------------------------------------------------------------

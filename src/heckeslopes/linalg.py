@@ -1,69 +1,46 @@
-"""Small exact linear algebra over Fraction: RREF (dense and sparse),
-kernel bases, span membership with certificates, characteristic polynomials.
+"""Exact linear algebra over Fraction: one elimination routine and a
+characteristic polynomial.
 
-Everything is deterministic: pivoting always takes the first usable row /
-smallest column, so repeated runs produce identical bases and matrices.
+SparseRREF is the only Gaussian elimination.  The modular-symbols
+presentation uses it directly; kernel_basis reads kernel bases off its
+reduced form, and SpanSolver solves in the span of a fixed family by
+eliminating the family augmented with an identity block.  charpoly_monic
+is a separate algorithm: a similarity reduction to Hessenberg form.
+
+Everything is deterministic: the pivot of a new row is its smallest
+column and every pivot row is fully reduced, so the echelon form is the
+unique reduced row echelon form of the row span, whatever the insertion
+order.
 """
 
 from fractions import Fraction
 
-__all__ = [
-    "rref", "kernel_basis", "charpoly_monic", "SparseRREF", "SpanSolver",
-]
+__all__ = ["kernel_basis", "charpoly_monic", "SparseRREF", "SpanSolver"]
 
 
 def _frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form.
-
-    Returns (matrix, pivot_columns).  Input rows are not modified.
-    """
-    mat = _frac_rows(rows)
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
 def kernel_basis(rows, ncols):
-    """Basis of {v : A v = 0} for the matrix with the given rows.
+    """Basis of {v : A v = 0} for the matrix with the given sparse rows.
 
-    One basis vector per free column, in ascending free-column order; the
-    vector for free column c has a 1 there, so the basis is deterministic
-    and echelon-shaped.
+    Rows are dicts {column: coefficient}.  One basis vector per free
+    column, in ascending free-column order; the vector for free column c
+    has a 1 there, so the basis is deterministic and echelon-shaped.
     """
-    mat, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    ech = SparseRREF()
+    for row in rows:
+        ech.add_row(row)
+    pivots = ech.pivot_rows
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -mat[r][fc]
+        for pc, prow in pivots.items():
+            v[pc] = -prow.get(fc, Fraction(0))
         basis.append(tuple(v))
     return basis
 
@@ -141,9 +118,9 @@ def charpoly_monic(M):
 class SparseRREF:
     """Incremental reduced echelon form for sparse integer/rational rows.
 
-    Rows are dicts {column: coefficient}.  Insertion order is the
-    deterministic part: each new row is reduced against current pivots,
-    then (if nonzero) normalized and used to clear its column everywhere.
+    Rows are dicts {column: coefficient}.  Each new row is reduced against
+    the current pivots, then (if nonzero) normalized at its smallest
+    column and used to clear that column everywhere.
     """
 
     def __init__(self):
@@ -153,23 +130,10 @@ class SparseRREF:
         """Reduce row and absorb it; returns the new pivot column or None.
 
         Invariant: every stored pivot row has coefficient 1 at its pivot
-        column and support otherwise only on free columns.
+        column, which is its smallest column, and support otherwise only
+        on free columns.
         """
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        # eliminating a pivot column only introduces free columns, so one
-        # sorted pass over the pivot columns initially present is complete
-        for c in sorted(c for c in row if c in self.pivot_rows):
-            f = row.pop(c, None)
-            if not f:
-                continue
-            for k, v in self.pivot_rows[c].items():
-                if k == c:
-                    continue
-                nv = row.get(k, Fraction(0)) - f * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
+        row = self.reduce_vector(row)
         if not row:
             return None
         c = min(row)
@@ -198,10 +162,10 @@ class SparseRREF:
         columns only.
         """
         vec = {c: Fraction(v) for c, v in vec.items() if v}
+        # eliminating a pivot column only introduces free columns, so one
+        # sorted pass over the pivot columns initially present is complete
         for c in sorted(set(vec) & set(self.pivot_rows)):
-            f = vec.pop(c, None)
-            if not f:
-                continue
+            f = vec.pop(c)
             for k, v in self.pivot_rows[c].items():
                 if k == c:
                     continue
@@ -220,42 +184,25 @@ class SpanSolver:
     or raises ValueError when target is outside the span.  Used to restrict
     operators to invariant subspaces, where inconsistency means the
     subspace was not actually invariant.
+
+    Vector v_i enters a SparseRREF as the row (v_i, e_i), with e_i in
+    column width + i, so each pivot row carries the combination of the
+    v_i it came from.
     """
 
     def __init__(self, vectors):
-        self.vectors = [tuple(Fraction(x) for x in v) for v in vectors]
-        self._ech = []  # (pivot column, reduced vector, combination coeffs)
-        n = len(self.vectors)
-        for i, v in enumerate(self.vectors):
-            coeffs = [Fraction(0)] * n
-            coeffs[i] = Fraction(1)
-            v = list(v)
-            for pc, ev, ec in self._ech:
-                f = v[pc]
-                if f:
-                    for j in range(len(v)):
-                        v[j] -= f * ev[j]
-                    for j in range(n):
-                        coeffs[j] -= f * ec[j]
-            pc = next((j for j, x in enumerate(v) if x != 0), None)
-            if pc is None:
+        self.width = len(vectors[0]) if vectors else 0
+        self.count = len(vectors)
+        self._ech = SparseRREF()
+        for i, v in enumerate(vectors):
+            row = dict(enumerate(v))
+            row[self.width + i] = 1
+            if self._ech.add_row(row) >= self.width:
                 raise ValueError("dependent basis vector")
-            inv = 1 / v[pc]
-            v = [x * inv for x in v]
-            coeffs = [x * inv for x in coeffs]
-            self._ech.append((pc, v, coeffs))
 
     def solve(self, target):
-        v = [Fraction(x) for x in target]
-        n = len(self.vectors)
-        out = [Fraction(0)] * n
-        for pc, ev, ec in self._ech:
-            f = v[pc]
-            if f:
-                for j in range(len(v)):
-                    v[j] -= f * ev[j]
-                for j in range(n):
-                    out[j] += f * ec[j]
-        if any(v):
+        # (target, 0) minus the eliminated pivot rows is (target - sum x_i v_i, -x)
+        rest = self._ech.reduce_vector(dict(enumerate(target)))
+        if any(c < self.width for c in rest):
             raise ValueError("vector not in span")
-        return out
+        return [-rest.get(self.width + i, Fraction(0)) for i in range(self.count)]

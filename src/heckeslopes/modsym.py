@@ -311,10 +311,7 @@ class PlusQuotient:
                 ci = self._cusp_index(cusps, b, d)
                 rows.setdefault(ci, {})[col] = rows.get(ci, {}).get(col, 0) - 1
         self.cusp_count = len(cusps)
-        D = self.quotient_dim
-        dense = [[Fraction(rows.get(ci, {}).get(c, 0)) for c in range(D)]
-                 for ci in range(len(cusps))]
-        self.cuspidal_basis = kernel_basis(dense, D)
+        self.cuspidal_basis = kernel_basis(rows.values(), self.quotient_dim)
         self.dim = len(self.cuspidal_basis)
         expected = dim_cuspforms(self.k, self.M)
         if self.dim != expected:

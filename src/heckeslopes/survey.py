@@ -27,7 +27,6 @@ class SurveyConfig:
     k_max: int = 0  # 0 means the per-pair default bound
     engine: str = "modsym"
     cache_path: str = None
-    fmt: str = "csv"
     workers: int = 1
 
 

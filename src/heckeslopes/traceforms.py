@@ -21,12 +21,12 @@ import numpy as np
 
 from .dimensions import dim_cuspforms, psi_index
 from .errors import ConsistencyError, TraceBudgetExceeded
-from .exact import IntPolynomial, divisors, factorize, kronecker
+from .exact import IntPolynomial, _vp, divisors, euler_phi, factorize, kronecker
 
 __all__ = [
     "DISC_CAP_DEFAULT", "hurwitz_class_number", "ClassNumberTable",
     "default_table", "local_embedding_count", "trace_tn",
-    "hecke_power_traces", "charpoly_from_traces", "trace_feasible",
+    "charpoly_from_traces", "trace_feasible",
 ]
 
 # largest |t^2 - 4n| the bundled class number table will sieve; covers
@@ -36,9 +36,8 @@ __all__ = [
 # table.
 DISC_CAP_DEFAULT = 24_000_000
 
-# requests at or below this threshold trigger only a small sieve, so
-# light uses of the engine never pay for the full table
-_SMALL_REQUEST = 100_000
+# smallest table ever sieved; below the cap a rebuild at least doubles
+# the table, so a run of growing requests costs few sieves
 _SMALL_BUILD = 400_000
 
 
@@ -99,8 +98,7 @@ class ClassNumberTable:
         with self._lock:
             if n <= self.limit:
                 return
-            L = _SMALL_BUILD if n <= _SMALL_REQUEST else self.cap
-            self._build(min(L, self.cap))
+            self._build(min(self.cap, max(n, 2 * self.limit, _SMALL_BUILD)))
 
     def _build(self, L):
         h6 = np.zeros(L + 1, dtype=np.int32)
@@ -225,20 +223,13 @@ def _gegenbauer(k, t, n):
     return pm1
 
 
-def _euler_phi(n):
-    out = n
-    for p in factorize(n):
-        out = out // p * (p - 1)
-    return out
-
-
 def _sigma_phi(e_minus_d, N):
     # sum of phi(gcd(tau, N/tau)) over tau | N with gcd(tau, N/tau) | (e - d)
     total = 0
     for tau in divisors(N):
         g = gcd(tau, N // tau)
         if e_minus_d % g == 0:
-            total += _euler_phi(g)
+            total += euler_phi(g)
     return total
 
 
@@ -283,7 +274,7 @@ def trace_tn(k, N, n, table=None):
             for g in divisors(f0):
                 emb = table.h6_primitive(d0 * g * g)
                 for q, nu in level_fact.items():
-                    emb *= local_embedding_count(q, sig[q], _vq(g, q), nu)
+                    emb *= local_embedding_count(q, sig[q], _vp(g, q), nu)
                 acc += emb
             loc = Fraction(acc, 6)
         if loc:
@@ -305,36 +296,6 @@ def trace_tn(k, N, n, table=None):
         raise ArithmeticError(
             f"non-integral trace {total} at (k={k}, N={N}, n={n})")
     return int(total)
-
-
-def _vq(g, q):
-    v = 0
-    while g % q == 0:
-        g //= q
-        v += 1
-    return v
-
-
-def hecke_power_traces(k, N, p, count, table=None):
-    """Power sums s_m = tr(T_p^m) on S_k(Gamma_0(N)) for m = 1..count.
-
-    Converts tr T_{p^j} into traces of plain matrix powers through the
-    Hecke recursion T_p T_{p^j} = T_{p^(j+1)} + p^(k-1) T_{p^(j-1)}.
-    """
-    dim = dim_cuspforms(k, N)
-    t = [dim] + [trace_tn(k, N, p ** j, table) for j in range(1, count + 1)]
-    scale = p ** (k - 1)
-    out = []
-    a = [0, 1]  # X = q_1
-    for m in range(1, count + 1):
-        out.append(sum(aj * t[j] for j, aj in enumerate(a) if aj))
-        # multiply by X in the q_j basis
-        nxt = [0] * (len(a) + 1)
-        nxt[0] = scale * a[1] if len(a) > 1 else 0
-        for j in range(1, len(a) + 1):
-            nxt[j] = a[j - 1] + (scale * a[j + 1] if j + 1 < len(a) else 0)
-        a = nxt
-    return out
 
 
 def _beta(n):

@@ -2,8 +2,9 @@
 
 Nothing here imports from the package's math internals: q-expansions
 come from eta products, class numbers from a direct reduced-form
-enumeration (a different normal form than the library uses), and
-characteristic polynomials from cofactor expansion.  Agreement between
+enumeration (a different normal form than the library uses),
+characteristic polynomials from cofactor expansion, and reduced row
+echelon forms from dense Gauss-Jordan elimination.  Agreement between
 these and the package is the point of the tests, so keep it that way.
 """
 
@@ -138,3 +139,38 @@ def inverse_charpoly_reference(mat):
     """Coefficients of det(1 - mat*X), constant first, length n+1."""
     # det(1 - MX) = X^n * charpoly(M)(1/X): reverse the monic charpoly
     return list(reversed(charpoly_reference(mat)))
+
+
+# ----------------------------------------------------------------------
+# reduced row echelon form by dense Gauss-Jordan elimination
+
+def rref(rows, ncols=None):
+    """Reduced row echelon form.
+
+    Returns (matrix, pivot_columns).  Input rows are not modified.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heckeslopes.exact import (INFINITY, IntPolynomial, NewtonPolygon,
-                               SlopeMultiset, divisors, factorize,
+                               SlopeMultiset, divisors, euler_phi, factorize,
                                inverse_charpoly, is_prime, kronecker,
                                newton_slopes, valuation)
 from oracles import inverse_charpoly_reference
@@ -178,6 +178,7 @@ def test_arithmetic_helpers():
     assert is_prime(2**31 - 1) and not is_prime(2**32 + 1)
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert divisors(28) == [1, 2, 4, 7, 14, 28]
+    assert [euler_phi(n) for n in (1, 2, 9, 12, 97)] == [1, 1, 6, 4, 96]
     # kronecker symbol against Euler's criterion at odd primes
     rng = random.Random(29)
     for _ in range(200):

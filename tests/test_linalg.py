@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from heckeslopes.linalg import (SparseRREF, SpanSolver, charpoly_monic,
-                                kernel_basis, rref)
-from oracles import charpoly_reference
+                                kernel_basis)
+from oracles import charpoly_reference, rref
 
 
 def test_rref_pivots():
@@ -16,7 +16,7 @@ def test_rref_pivots():
 
 def test_kernel_basis_shape():
     rows = [[1, 2, 0, 1], [0, 0, 1, 3]]
-    basis = kernel_basis(rows, 4)
+    basis = kernel_basis([dict(enumerate(row)) for row in rows], 4)
     assert len(basis) == 2
     for vec in basis:
         assert sum(r * v for r, v in zip(rows[0], vec)) == 0
@@ -28,9 +28,14 @@ def test_kernel_of_random_systems():
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(m)] for _ in range(n)]
-        basis = kernel_basis(rows, m)
-        _, pivots = rref(rows, m)
+        basis = kernel_basis([dict(enumerate(row)) for row in rows], m)
+        mat, pivots = rref(rows, m)
         assert len(basis) == m - len(pivots)
+        # the basis read off the dense referee's echelon form, vector for vector
+        free = [c for c in range(m) if c not in pivots]
+        assert basis == [tuple(Fraction(c == fc) if c not in pivots
+                               else -mat[pivots.index(c)][fc] for c in range(m))
+                         for fc in free]
         for vec in basis:
             for row in rows:
                 assert sum(r * v for r, v in zip(row, vec)) == 0
@@ -58,8 +63,11 @@ def test_sparse_rref_matches_dense():
             row = {c: v for c, v in row.items() if v}
             dense.append([row.get(c, Fraction(0)) for c in range(ncols)])
             sparse.add_row(row)
-        _, pivots = rref(dense, ncols)
+        mat, pivots = rref(dense, ncols)
         assert sparse.pivot_columns == pivots
+        # the reduced row echelon form is unique, so the rows agree too
+        assert [[sparse.pivot_rows[c].get(j, 0) for j in range(ncols)]
+                for c in pivots] == mat
         # reduce_vector sends anything in the row span to zero
         combo = [Fraction(0)] * ncols
         for row in dense:

@@ -195,6 +195,9 @@ def test_cli_usage_errors(capsys):
     assert main(["survey", "--p", "0,2", "--N", "11", "--cache", ""]) == 1
     assert main(["regularity", "--p", "4", "--N", "11", "--cache", ""]) == 1
     with pytest.raises(SystemExit) as ei:
+        main(["crosscheck", "--format", "csv"])  # crosscheck has one report format
+    assert ei.value.code == 1
+    with pytest.raises(SystemExit) as ei:
         main(["nonsense"])
     assert ei.value.code == 1
     capsys.readouterr()

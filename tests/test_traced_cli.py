@@ -1,0 +1,35 @@
+"""The benchmark's tracer (perfbench/traced_cli.py) must keep working.
+
+It patches spans onto names in linalg and modsym from outside the
+package; a rename there would otherwise break traced benchmark runs
+without failing any test.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ARGS = ["witness", "--p", "2", "--N", "11", "--cache", ""]
+
+
+def _run(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_traced_cli_matches_plain_cli_and_records_linalg_spans(tmp_path):
+    stats_path = tmp_path / "stats.json"
+    plain = _run(["-m", "heckeslopes.cli", *ARGS])
+    traced = _run([str(ROOT / "perfbench" / "traced_cli.py"), str(stats_path), *ARGS])
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == plain.returncode, traced.stderr
+    assert traced.stdout == plain.stdout
+    seconds = json.loads(stats_path.read_text())["seconds"]
+    for layer in ("linalg.kernel", "linalg.span_solve"):
+        assert seconds[layer][2] > 0, layer  # [total s, self s, calls]

