@@ -10,8 +10,7 @@ assembly, and bounded searches for fractional slopes strictly between 0
 and 1.
 """
 
-from .cache import (CacheRecord, CharpolyCache, activate, cache_roundtrip,
-                    operator_label)
+from .cache import CacheRecord, CharpolyCache, cache_roundtrip, operator_label
 from .dimensions import (DimensionProfile, dim_cuspforms, dim_new_at_p,
                          dimension_profile, genus)
 from .errors import ConsistencyError, TraceBudgetExceeded
@@ -27,12 +26,12 @@ from .slopes import (HeckeContext, P2Report, RegularityVerdict, UpSlopeAssembly,
 from .survey import (CSV_HEADER, ReportRow, SurveyConfig, SurveyResult,
                      compute_pair, render_report, run_survey)
 from .traceforms import (ClassNumberTable, charpoly_from_traces, default_table,
-                         hurwitz_class_number, trace_feasible, trace_tn)
+                         trace_feasible, trace_tn)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CacheRecord", "CharpolyCache", "activate", "cache_roundtrip", "operator_label",
+    "CacheRecord", "CharpolyCache", "cache_roundtrip", "operator_label",
     "DimensionProfile", "dim_cuspforms", "dim_new_at_p", "dimension_profile", "genus",
     "ConsistencyError", "TraceBudgetExceeded",
     "INFINITY", "IntPolynomial", "NewtonPolygon", "SlopeMultiset",
@@ -46,6 +45,6 @@ __all__ = [
     "CSV_HEADER", "ReportRow", "SurveyConfig", "SurveyResult",
     "compute_pair", "render_report", "run_survey",
     "ClassNumberTable", "charpoly_from_traces", "default_table",
-    "hurwitz_class_number", "trace_feasible", "trace_tn",
+    "trace_feasible", "trace_tn",
     "__version__",
 ]

@@ -1,12 +1,17 @@
-"""Persistent characteristic-polynomial cache.
+"""The characteristic-polynomial store: one per run, passed explicitly.
 
-One JSON object per line, so the file can be streamed and appended to;
-coefficients travel as decimal strings because they overflow 64 bits
-around weight 20.  Every record carries a sha256 digest of its payload:
-a record that fails to re-parse, re-verify, or match the schema version
-is dropped with a warning and the polynomial is simply recomputed.
-Writes go through a temporary file and os.replace, so readers never see
-a half-written cache.
+A CharpolyCache holds every polynomial a run has computed or loaded,
+the engine that computes the missing ones, and optionally the file it
+loads from and flushes to.  Callers hand it down to the slope layer,
+which without one computes every polynomial afresh.
+
+On disk it is one JSON object per line, so the file can be streamed
+and appended to; coefficients travel as decimal strings because they
+overflow 64 bits around weight 20.  Every record carries a sha256
+digest of its payload: a record that fails to re-parse, re-verify, or
+match the schema version is dropped with a warning and the polynomial
+is simply recomputed.  Writes go through a temporary file and
+os.replace, so readers never see a half-written cache.
 """
 
 import hashlib
@@ -21,6 +26,7 @@ from .exact import IntPolynomial
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
+ENGINES = ("modsym", "trace", "both")
 _FIELDS = ("schema", "p", "level", "weight", "operator", "coeffs", "engine")
 
 
@@ -91,13 +97,19 @@ class CacheRecord:
 class CharpolyCache:
     """Map from (p, level, weight, operator, engine) to cached polynomials.
 
-    path=None keeps the cache purely in memory.  load() never raises on a
-    damaged file: bad lines are collected in self.rejects and logged, and
-    the affected entries get recomputed on demand.
+    engine picks how the slope layer computes a missing T_p polynomial:
+    "modsym", "trace", or "both" (compute with each and insist they
+    agree).  path=None keeps the cache purely in memory.  load() never
+    raises on a damaged file: bad lines are collected in self.rejects and
+    logged, and the affected entries get recomputed on demand.  Used as a
+    context manager, the store flushes on leaving the block, also on error.
     """
 
-    def __init__(self, path=None):
+    def __init__(self, path=None, engine="modsym"):
+        if engine not in ENGINES:
+            raise ValueError("engine must be one of %r, got %r" % (ENGINES, engine))
         self.path = path
+        self.engine = engine
         self.records = {}
         self.rejects = []  # (line number, reason) from the last load
         self.hits = 0
@@ -151,6 +163,13 @@ class CharpolyCache:
         for rec in records:
             self.records[rec.key] = rec
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.flush()
+        return False
+
     def flush(self):
         """Rewrite the backing file atomically (no-op for in-memory caches)."""
         if self.path is None:
@@ -169,37 +188,6 @@ class CharpolyCache:
         except BaseException:
             os.unlink(tmp)
             raise
-
-
-# Active cache used by the slope layer.  None means "just compute".
-_ACTIVE = None
-
-
-class activate:
-    """Context manager installing a cache for all charpoly requests."""
-
-    def __init__(self, cache):
-        self.cache = cache
-        self.prev = None
-
-    def __enter__(self):
-        global _ACTIVE
-        self.prev = _ACTIVE
-        _ACTIVE = self.cache
-        return self.cache
-
-    def __exit__(self, exc_type, exc, tb):
-        global _ACTIVE
-        _ACTIVE = self.prev
-        if self.cache is not None:
-            self.cache.flush()
-        return False
-
-
-def fetch_or_compute(p, level, weight, engine, compute):
-    if _ACTIVE is None:
-        return compute()
-    return _ACTIVE.fetch_or_compute(p, level, weight, engine, compute)
 
 
 def cache_roundtrip(record, path):

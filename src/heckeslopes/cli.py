@@ -11,7 +11,7 @@ import logging
 import os
 import sys
 
-from . import cache as cachemod
+from .cache import ENGINES, CharpolyCache
 from .dimensions import dim_cuspforms
 from .errors import ConsistencyError, TraceBudgetExceeded
 from .modsym import charpoly_cuspidal
@@ -65,10 +65,13 @@ def _parse_int_set(text):
     return tuple(sorted(out))
 
 
-def _resolve_cache_path(args):
+def _open_store(args):
+    """The command's one charpoly store, from --cache, $HECKESLOPES_CACHE and --engine."""
     if args.cache is not None:
-        return args.cache or None  # --cache "" disables caching explicitly
-    return os.environ.get(CACHE_ENV) or None
+        path = args.cache or None  # --cache "" keeps the store in memory
+    else:
+        path = os.environ.get(CACHE_ENV) or None
+    return CharpolyCache(path, getattr(args, "engine", "modsym"))
 
 
 def _add_cache(sub):
@@ -77,7 +80,7 @@ def _add_cache(sub):
 
 
 def _add_common(sub, fmt_default="text"):
-    sub.add_argument("--engine", choices=("modsym", "trace", "both"),
+    sub.add_argument("--engine", choices=ENGINES,
                      default="modsym", help="characteristic polynomial engine")
     _add_cache(sub)
     sub.add_argument("--format", dest="fmt", choices=FORMATS, default=fmt_default)
@@ -91,10 +94,9 @@ def _print(text):
 # regularity
 
 def cmd_regularity(args):
-    cache = cachemod.CharpolyCache(_resolve_cache_path(args))
     try:
-        with cachemod.activate(cache):
-            verdict = is_regular(args.p, args.N, args.engine)
+        with _open_store(args) as store:
+            verdict = is_regular(args.p, args.N, store)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -129,14 +131,13 @@ def cmd_regularity(args):
 # slopes
 
 def cmd_slopes(args):
-    cache = cachemod.CharpolyCache(_resolve_cache_path(args))
     rows = []
     try:
-        with cachemod.activate(cache):
+        with _open_store(args) as store:
             for k in range(2, args.k_max + 1, 2):
                 ctx = HeckeContext(args.p, args.N, k)
-                slopes, zeros = tp_slopes(ctx, args.engine)
-                asm = up_assembly(ctx, args.engine)
+                slopes, zeros = tp_slopes(ctx, store)
+                asm = up_assembly(ctx, store)
                 rows.append((k, dim_cuspforms(k, args.N), slopes, zeros, asm))
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -171,14 +172,13 @@ def cmd_slopes(args):
 # witness
 
 def cmd_witness(args):
-    cache = cachemod.CharpolyCache(_resolve_cache_path(args))
     try:
-        with cachemod.activate(cache):
-            row = compute_pair(args.p, args.N, args.k_max, args.engine)
+        with _open_store(args) as store:
+            row = compute_pair(args.p, args.N, args.k_max, store)
             label = ""
             if row.verdict == "irregular" and row.status == "ok":
                 label = minimal_witness_report(args.p, args.N, args.k_max or None,
-                                               args.engine).label
+                                               store).label
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -196,13 +196,15 @@ def cmd_survey(args):
     try:
         primes = _parse_int_set(args.p)
         levels = _parse_int_set(args.N)
+        if args.workers < 1:
+            raise ValueError("--workers must be at least 1, got %d" % args.workers)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     config = SurveyConfig(primes=primes, levels=levels, k_max=args.k_max,
-                          engine=args.engine, cache_path=_resolve_cache_path(args),
                           workers=args.workers)
-    result = run_survey(config)
+    with _open_store(args) as store:
+        result = run_survey(config, store)
     _print(render_report(result, args.fmt))
     if any(kind in ("ConsistencyError", "ArithmeticError") for _, _, kind, _ in result.errors):
         return EXIT_INCONSISTENT
@@ -221,11 +223,11 @@ def cmd_crosscheck(args):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    cache = cachemod.CharpolyCache(_resolve_cache_path(args))
+    store = _open_store(args)
     failures = []
-    for lineno, reason in cache.rejects:
+    for lineno, reason in store.rejects:
         failures.append("corrupt cache record at line %d (%s); reproduce: "
-                        "inspect %s" % (lineno, reason, cache.path))
+                        "inspect %s" % (lineno, reason, store.path))
     engines_checked = engines_skipped = direct_checked = direct_skipped = 0
     points = [(p, N, k)
               for p in primes for N in levels if N % p
@@ -234,12 +236,12 @@ def cmd_crosscheck(args):
         print("warning: empty grid, nothing to check", file=sys.stderr)
         _print("crosscheck: PASS (trivial, empty grid)\n")
         return EXIT_OK
-    with cachemod.activate(cache):
+    with store:
         for p, N, k in points:
             ctx = HeckeContext(p, N, k)
             if trace_feasible(k, N, p):
                 g = charpoly_from_traces(k, N, p)
-                fm = cachemod.fetch_or_compute(
+                fm = store.fetch_or_compute(
                     p, N, k, "modsym", lambda k=k, N=N, p=p: charpoly_cuspidal(k, N, p))
                 engines_checked += 1
                 if fm != g:
@@ -250,8 +252,8 @@ def cmd_crosscheck(args):
             else:
                 engines_skipped += 1
             if dim_cuspforms(k, N * p) <= args.direct_cap:
-                asm = up_assembly(ctx)
-                direct = up_slopes_direct(ctx)
+                asm = up_assembly(ctx, store)
+                direct = up_slopes_direct(ctx, store)
                 direct_checked += 1
                 if asm.combined != direct:
                     failures.append(

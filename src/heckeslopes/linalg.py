@@ -45,11 +45,6 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def _brute_charpoly_2x2(m):
-    a, b, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
-    return [a * d - b * c, -(a + d), Fraction(1)]
-
-
 def charpoly_monic(M):
     """Coefficients of det(X*I - M), constant first, exact over Fraction.
 
@@ -61,10 +56,6 @@ def charpoly_monic(M):
     if n == 0:
         return [Fraction(1)]
     H = _frac_rows(M)
-    if n == 1:
-        return [-H[0][0], Fraction(1)]
-    if n == 2:
-        return _brute_charpoly_2x2(H)
     for c in range(n - 2):
         piv = None
         for r in range(c + 1, n):

@@ -384,19 +384,19 @@ class PlusQuotient:
         return A
 
 
+# The only memo besides the charpoly store, which keys polynomials by p:
+# one built space serves T_p for every p, as surveys and crosscheck ask.
 @lru_cache(maxsize=48)
 def plus_quotient(k, M):
     return PlusQuotient(k, M)
 
 
-@lru_cache(maxsize=256)
 def hecke_on_cuspidal(k, M, n):
-    """Cuspidal Hecke matrix as a tuple of row tuples (cached)."""
+    """Cuspidal Hecke matrix as a tuple of row tuples."""
     A = plus_quotient(k, M).hecke_matrix(n)
     return tuple(tuple(row) for row in A)
 
 
-@lru_cache(maxsize=None)
 def charpoly_cuspidal(k, M, p):
     """det(1 - T_p X) on S_k(Gamma_0(M)); U_p when p | M.
 

@@ -10,14 +10,11 @@ slope v_p(a_p) alone.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cache import fetch_or_compute
 from .dimensions import dim_cuspforms
 from .errors import ConsistencyError
 from .exact import INFINITY, SlopeMultiset, is_prime, newton_slopes
 from .modsym import charpoly_cuspidal
 from .traceforms import charpoly_from_traces
-
-ENGINES = ("modsym", "trace", "both")
 
 
 @dataclass(frozen=True)
@@ -40,14 +37,20 @@ class HeckeContext:
             raise ValueError("k must be an even integer >= 2, got %r" % (self.k,))
 
 
-def _charpoly(k, N, p, engine):
-    if engine not in ENGINES:
-        raise ValueError("engine must be one of %r, got %r" % (ENGINES, engine))
+def _fetch(store, p, level, k, route, compute):
+    """compute(), memoised in store under (p, level, k, route); None just computes."""
+    if store is None:
+        return compute()
+    return store.fetch_or_compute(p, level, k, route, compute)
+
+
+def _charpoly(k, N, p, store):
+    engine = "modsym" if store is None else store.engine
     if engine == "trace":
-        return fetch_or_compute(p, N, k, "trace", lambda: charpoly_from_traces(k, N, p))
-    f = fetch_or_compute(p, N, k, "modsym", lambda: charpoly_cuspidal(k, N, p))
+        return _fetch(store, p, N, k, "trace", lambda: charpoly_from_traces(k, N, p))
+    f = _fetch(store, p, N, k, "modsym", lambda: charpoly_cuspidal(k, N, p))
     if engine == "both":
-        g = fetch_or_compute(p, N, k, "trace", lambda: charpoly_from_traces(k, N, p))
+        g = _fetch(store, p, N, k, "trace", lambda: charpoly_from_traces(k, N, p))
         if f != g:
             raise ConsistencyError(
                 "engine disagreement at (k=%d, N=%d, p=%d): modsym %r vs trace %r"
@@ -55,8 +58,11 @@ def _charpoly(k, N, p, engine):
     return f
 
 
-def tp_slopes(ctx, engine="modsym"):
+def tp_slopes(ctx, store=None):
     """T_p slope multiset on S_k(Gamma_0(N)), plus the zero-eigenvalue count.
+
+    The polynomial comes from store (a CharpolyCache, which also picks
+    the engine); store=None computes it with modsym and keeps nothing.
 
     Returns (SlopeMultiset, zero_count).  The multiset lists valuations of
     the nonzero eigenvalues only; zero_count = dim - effective degree of
@@ -65,7 +71,7 @@ def tp_slopes(ctx, engine="modsym"):
     dim = dim_cuspforms(ctx.k, ctx.N)
     if dim == 0:
         return SlopeMultiset(), 0
-    f = _charpoly(ctx.k, ctx.N, ctx.p, engine)
+    f = _charpoly(ctx.k, ctx.N, ctx.p, store)
     return newton_slopes(f, ctx.p), dim - max(f.degree, 0)
 
 
@@ -101,7 +107,7 @@ def _row_violates(p, row):
     return any(Fraction(s) not in allowed for s, _ in row.slopes)
 
 
-def is_regular(p, N, engine="modsym"):
+def is_regular(p, N, store=None):
     """Decide Gamma_0(N)-regularity of p from low-weight T_p slopes.
 
     Odd p is regular iff every T_p slope on S_k(Gamma_0(N)) vanishes for
@@ -123,7 +129,7 @@ def is_regular(p, N, engine="modsym"):
         if k % 2:
             table.append(RegularityRow(k, SlopeMultiset(), 0, 0))
             continue
-        slopes, zero_count = tp_slopes(HeckeContext(p, N, k), engine)
+        slopes, zero_count = tp_slopes(HeckeContext(p, N, k), store)
         row = RegularityRow(k, slopes, dim_cuspforms(k, N), zero_count)
         table.append(row)
         if j is None and _row_violates(p, row):
@@ -156,7 +162,7 @@ class UpSlopeAssembly:
     combined: SlopeMultiset
 
 
-def up_assembly(ctx, engine="modsym"):
+def up_assembly(ctx, store=None):
     """Predicted U_p slopes on S_k(Gamma_0(Np)) from T_p data at level N.
 
     Each level-N eigenvalue contributes its refinement pair; the p-new
@@ -164,7 +170,7 @@ def up_assembly(ctx, engine="modsym"):
     negative new multiplicity cannot happen for p not dividing N and is
     reported as a consistency failure.
     """
-    slopes, zero_count = tp_slopes(ctx, engine)
+    slopes, zero_count = tp_slopes(ctx, store)
     pairs = [(v, refinement_pair(v, ctx.k)) for v in slopes.as_list()]
     pairs.extend((INFINITY, refinement_pair(INFINITY, ctx.k)) for _ in range(zero_count))
     dim_tame = dim_cuspforms(ctx.k, ctx.N)
@@ -185,13 +191,13 @@ def up_assembly(ctx, engine="modsym"):
     return UpSlopeAssembly(ctx.p, ctx.N, ctx.k, tuple(pairs), new_slope, new_mult, combined)
 
 
-def up_slopes_direct(ctx):
-    """U_p slopes at level Np computed directly by the modular symbols engine."""
+def up_slopes_direct(ctx, store=None):
+    """U_p slopes at level Np by modsym, whatever the store's engine (trace has no U_p)."""
     dim = dim_cuspforms(ctx.k, ctx.N * ctx.p)
     if dim == 0:
         return SlopeMultiset()
-    f = fetch_or_compute(ctx.p, ctx.N * ctx.p, ctx.k, "modsym",
-                         lambda: charpoly_cuspidal(ctx.k, ctx.N * ctx.p, ctx.p))
+    f = _fetch(store, ctx.p, ctx.N * ctx.p, ctx.k, "modsym",
+               lambda: charpoly_cuspidal(ctx.k, ctx.N * ctx.p, ctx.p))
     if f.degree < dim:
         # U_p is invertible here: old eigenvalues multiply to p^(k-1) per
         # pair and new ones square to p^(k-2), so a vanishing eigenvalue
@@ -216,7 +222,7 @@ def default_witness_bound(p, j):
     return max(50, (j or 0) + 2 * (p - 1))
 
 
-def find_fractional_witness(p, N, k_max=None, engine="modsym"):
+def find_fractional_witness(p, N, k_max=None, store=None):
     """Scan even weights for a U_p slope strictly between 0 and 1 at level Np.
 
     Weight 2 is examined directly at level Np; for k > 2 the slopes of
@@ -226,15 +232,15 @@ def find_fractional_witness(p, N, k_max=None, engine="modsym"):
     effective bound, so exhausting k_max is a legitimate "not found".
     """
     if k_max is None:
-        verdict = is_regular(p, N, engine)
+        verdict = is_regular(p, N, store)
         k_max = default_witness_bound(p, verdict.j)
     for k in range(2, k_max + 1, 2):
         ctx = HeckeContext(p, N, k)
         if k == 2:
-            band = up_slopes_direct(ctx).in_open_interval(0, 1)
+            band = up_slopes_direct(ctx, store).in_open_interval(0, 1)
             source = "direct"
         else:
-            band = tp_slopes(ctx, engine)[0].in_open_interval(0, 1)
+            band = tp_slopes(ctx, store)[0].in_open_interval(0, 1)
             source = "old-refinement"
         if band:
             slope = band.as_list()[0]
@@ -256,20 +262,20 @@ class WitnessReport:
     label: str
 
 
-def minimal_witness_report(p, N, k_max=None, engine="modsym"):
+def minimal_witness_report(p, N, k_max=None, store=None):
     """Compare the minimal witness weight against the heuristic {j, j + (p-1)}.
 
     Only meaningful for an irregular pair; a regular input is rejected.
     A witness weight outside the predicted set is an observation worth
     reporting, never an error: the heuristic is numerical, not proved.
     """
-    verdict = is_regular(p, N, engine)
+    verdict = is_regular(p, N, store)
     if verdict.regular:
         raise ValueError("(%d, %d) is regular; no witness weight to compare" % (p, N))
     j = verdict.j
     if k_max is None:
         k_max = default_witness_bound(p, j)
-    witness = find_fractional_witness(p, N, k_max, engine)
+    witness = find_fractional_witness(p, N, k_max, store)
     predicted = (j, j + p - 1)
     if witness is None:
         return WitnessReport(p, N, j, None, predicted, None,

@@ -2,8 +2,10 @@
 
 Rows always come out in (p, N) order regardless of how they were
 computed, and rendering never consults clocks, locales, or paths, so a
-survey report is byte-identical across runs; the cache can change how
-fast a report appears but never its content.
+survey report is byte-identical across runs.  The caller owns the
+charpoly store (a CharpolyCache, which also picks the engine) and its
+file; the store can change how fast a report appears but never its
+content.
 """
 
 import logging
@@ -11,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import cache as cachemod
+from .cache import CharpolyCache
 from .slopes import default_witness_bound, find_fractional_witness, is_regular
 
 log = logging.getLogger(__name__)
@@ -25,8 +27,6 @@ class SurveyConfig:
     primes: tuple
     levels: tuple
     k_max: int = 0  # 0 means the per-pair default bound
-    engine: str = "modsym"
-    cache_path: str = None
     workers: int = 1
 
 
@@ -49,19 +49,19 @@ class SurveyResult:
     skipped: list  # (p, N) pairs with p | N, never computed
 
 
-def compute_pair(p, N, k_max=0, engine="modsym"):
+def compute_pair(p, N, k_max=0, store=None):
     """One survey row: verdict, then witness search if irregular.
 
     Witness fields stay empty for a regular pair and for an irregular
     pair whose bounded search found nothing; the two cases differ in the
-    status field.
+    status field.  store=None computes every polynomial afresh.
     """
-    verdict = is_regular(p, N, engine)
+    verdict = is_regular(p, N, store)
     if verdict.regular:
         return ReportRow(p, N, "regular")
     j = verdict.j
     bound = k_max if k_max else default_witness_bound(p, j)
-    witness = find_fractional_witness(p, N, bound, engine)
+    witness = find_fractional_witness(p, N, bound, store)
     if witness is None:
         return ReportRow(p, N, "irregular", j=j, status="inconclusive")
     return ReportRow(p, N, "irregular", j=j, witness_k=witness.k,
@@ -71,28 +71,28 @@ def compute_pair(p, N, k_max=0, engine="modsym"):
 
 def _survey_worker(args):
     p, N, k_max, engine, seed = args
-    local = cachemod.CharpolyCache(None)
+    local = CharpolyCache(engine=engine)
     local.merge(seed)
     try:
-        with cachemod.activate(local):
-            row = compute_pair(p, N, k_max, engine)
+        row = compute_pair(p, N, k_max, local)
         return ("row", row, tuple(local.records.values()))
     except Exception as exc:  # quarantined by the caller
         return ("error", (p, N, type(exc).__name__, str(exc)),
                 tuple(local.records.values()))
 
 
-def run_survey(config, cache=None):
+def run_survey(config, store=None):
     """Survey every admissible (p, N) pair of the config grid.
 
     Pairs with p | N are logged and skipped.  A failure in one pair is
     quarantined into the error section and the run continues.  When
-    workers > 1 the pairs are farmed out to processes; the parent owns
-    the persistent cache and merges whatever the workers computed.
+    workers > 1 the pairs are farmed out to at most one process per
+    pair; store, in the parent, merges whatever the workers computed.
+    store=None surveys with a fresh in-memory modsym store.  Flushing
+    the store is the caller's business.
     """
-    owns_cache = cache is None
-    if owns_cache:
-        cache = cachemod.CharpolyCache(config.cache_path)
+    if store is None:
+        store = CharpolyCache()
     pairs = []
     skipped = []
     for p in sorted(set(config.primes)):
@@ -106,26 +106,23 @@ def run_survey(config, cache=None):
     if config.workers > 1 and pairs:
         jobs = []
         for p, N in pairs:
-            seed = tuple(rec for key, rec in cache.records.items()
+            seed = tuple(rec for key, rec in store.records.items()
                          if key[0] == p and key[1] in (N, N * p))
-            jobs.append((p, N, config.k_max, config.engine, seed))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            jobs.append((p, N, config.k_max, store.engine, seed))
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(pairs))) as pool:
             for kind, payload, records in pool.map(_survey_worker, jobs):
-                cache.merge(records)
+                store.merge(records)
                 if kind == "row":
                     result.rows.append(payload)
                 else:
                     result.errors.append(payload)
     else:
-        with cachemod.activate(cache):
-            for p, N in pairs:
-                try:
-                    result.rows.append(compute_pair(p, N, config.k_max, config.engine))
-                except Exception as exc:
-                    log.warning("pair (p=%d, N=%d) failed: %s", p, N, exc)
-                    result.errors.append((p, N, type(exc).__name__, str(exc)))
-    if owns_cache:
-        cache.flush()
+        for p, N in pairs:
+            try:
+                result.rows.append(compute_pair(p, N, config.k_max, store))
+            except Exception as exc:
+                log.warning("pair (p=%d, N=%d) failed: %s", p, N, exc)
+                result.errors.append((p, N, type(exc).__name__, str(exc)))
     result.rows.sort(key=lambda r: (r.p, r.N))
     result.errors.sort(key=lambda e: (e[0], e[1]))
     return result

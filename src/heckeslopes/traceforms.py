@@ -24,7 +24,7 @@ from .errors import ConsistencyError, TraceBudgetExceeded
 from .exact import IntPolynomial, _vp, divisors, euler_phi, factorize, kronecker
 
 __all__ = [
-    "DISC_CAP_DEFAULT", "hurwitz_class_number", "ClassNumberTable",
+    "DISC_CAP_DEFAULT", "ClassNumberTable",
     "default_table", "local_embedding_count", "trace_tn",
     "charpoly_from_traces", "trace_feasible",
 ]
@@ -39,39 +39,6 @@ DISC_CAP_DEFAULT = 24_000_000
 # smallest table ever sieved; below the cap a rebuild at least doubles
 # the table, so a run of growing requests costs few sieves
 _SMALL_BUILD = 400_000
-
-
-def hurwitz_class_number(n):
-    """Hurwitz class number H(n) as a Fraction.
-
-    Counts reduced positive definite forms of discriminant -n, weighting
-    x^2+y^2 classes by 1/2 and x^2+xy+y^2 classes by 1/3; H(0) = -1/12,
-    H(n) = 0 unless n is 0 or 3 mod 4.
-    """
-    if n < 0:
-        raise ValueError("negative discriminant argument")
-    if n == 0:
-        return Fraction(-1, 12)
-    total = Fraction(0)
-    a = 1
-    while 3 * a * a <= n:
-        for b in range(-a + 1, a + 1):
-            num = b * b + n
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue  # its mirror (a, -b, a) ~ (a, b, a) is already counted
-            if a == b == c:
-                total += Fraction(1, 3)
-            elif b == 0 and a == c:
-                total += Fraction(1, 2)
-            else:
-                total += 1
-        a += 1
-    return total
 
 
 class ClassNumberTable:

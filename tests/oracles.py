@@ -1,9 +1,9 @@
 """Independent reference computations used to pin expected values.
 
 Nothing here imports from the package's math internals: q-expansions
-come from eta products, class numbers from a direct reduced-form
-enumeration (a different normal form than the library uses),
-characteristic polynomials from cofactor expansion, and reduced row
+come from eta products, class numbers from two direct reduced-form
+enumerations (different normal forms from each other and from the
+library's sieve), characteristic polynomials from cofactor expansion, and reduced row
 echelon forms from dense Gauss-Jordan elimination.  Agreement between
 these and the package is the point of the tests, so keep it that way.
 """
@@ -60,13 +60,14 @@ def eta_space_coefficient(k, M, n):
 
 
 # ----------------------------------------------------------------------
-# Hurwitz class numbers, enumerated with the |b| <= a <= c normal form
+# Hurwitz class numbers, enumerated with two normal forms
 
 def hurwitz_reference(n):
     """H(n) by brute force: reduced forms weighted 1/2 on (d,0,d), 1/3 on (d,d,d).
 
     Reduction convention: |b| <= a <= c with b >= 0 whenever |b| = a or
-    a = c; iteration is b-outer, unlike the library's a-outer loop.
+    a = c; iteration is b-outer, unlike hurwitz_class_number's a-outer
+    loop.
     """
     if n == 0:
         return Fraction(-1, 12)
@@ -87,6 +88,39 @@ def hurwitz_reference(n):
                 total += Fraction(1)
             else:
                 total += Fraction(2)  # (a, b, c) and (a, -b, c)
+    return total
+
+
+def hurwitz_class_number(n):
+    """Hurwitz class number H(n) as a Fraction.
+
+    Counts reduced positive definite forms of discriminant -n, weighting
+    x^2+y^2 classes by 1/2 and x^2+xy+y^2 classes by 1/3; H(0) = -1/12,
+    H(n) = 0 unless n is 0 or 3 mod 4.
+    """
+    if n < 0:
+        raise ValueError("negative discriminant argument")
+    if n == 0:
+        return Fraction(-1, 12)
+    total = Fraction(0)
+    a = 1
+    while 3 * a * a <= n:
+        for b in range(-a + 1, a + 1):
+            num = b * b + n
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and a == c:
+                continue  # its mirror (a, -b, a) ~ (a, b, a) is already counted
+            if a == b == c:
+                total += Fraction(1, 3)
+            elif b == 0 and a == c:
+                total += Fraction(1, 2)
+            else:
+                total += 1
+        a += 1
     return total
 
 

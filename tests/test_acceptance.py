@@ -112,16 +112,17 @@ def test_criterion_4_end_to_end_level_11():
 
 def test_criterion_5_end_to_end_level_1_p59():
     t0 = time.time()
-    verdict = is_regular(59, 1)
+    store = CharpolyCache()  # the three calls below share their polynomials
+    verdict = is_regular(59, 1, store)
     assert not verdict.regular and verdict.j == 16
     row16 = next(r for r in verdict.table if r.k == 16)
     assert row16.zero_count == 0
     assert all(Fraction(s).denominator == 1 and s > 0
                for s in row16.slopes.as_list())
-    witness = find_fractional_witness(59, 1, 74)
+    witness = find_fractional_witness(59, 1, 74, store)
     assert witness is not None
     assert 0 < witness.slope < 1
-    report = minimal_witness_report(59, 1, 74)
+    report = minimal_witness_report(59, 1, 74, store)
     note = "witness (k=%d, %s)" % (witness.k, witness.slope)
     if witness.k != 74:
         # a smaller witness would contradict nothing, only the heuristic
@@ -132,10 +133,11 @@ def test_criterion_5_end_to_end_level_1_p59():
 
 def test_criterion_6_up_slope_identities():
     t0 = time.time()
+    store = CharpolyCache()
     direct_checked = direct_skipped = 0
     for (k, N, p) in GRID:
         ctx = HeckeContext(p, N, k)
-        asm = up_assembly(ctx)
+        asm = up_assembly(ctx, store)
         # (iv) totals match the level-Np dimension
         assert asm.combined.total == dim_cuspforms(k, N * p), (k, N, p)
         # (iii) all assembled slopes lie in [0, k-1]
@@ -147,10 +149,10 @@ def test_criterion_6_up_slope_identities():
             assert sorted(k - 1 - s for s in ss) == ss, (k, N, p)
         # (ii) band equality for k > 2, where the level-Np space is affordable
         if k > 2 and dim_cuspforms(k, N * p) <= DIRECT_CAP:
-            direct = up_slopes_direct(ctx)
+            direct = up_slopes_direct(ctx, store)
             assert direct == asm.combined, (k, N, p)
             assert direct.in_open_interval(0, 1) == \
-                tp_slopes(ctx)[0].in_open_interval(0, 1), (k, N, p)
+                tp_slopes(ctx, store)[0].in_open_interval(0, 1), (k, N, p)
             direct_checked += 1
         elif k > 2:
             direct_skipped += 1
@@ -189,14 +191,14 @@ def test_criterion_7_p2_refinements():
 def test_criterion_8_determinism_and_cache_integrity(tmp_path):
     t0 = time.time()
     path = str(tmp_path / "cache.jsonl")
-    config = SurveyConfig(primes=(2, 3, 5, 7), levels=tuple(range(1, 31)),
-                          k_max=12, cache_path=path)
-    cold = render_csv(run_survey(config))
+    config = SurveyConfig(primes=(2, 3, 5, 7), levels=tuple(range(1, 31)), k_max=12)
+    with CharpolyCache(path) as store:
+        cold = render_csv(run_survey(config, store))
     assert os.path.exists(path)
     with open(path) as fh:
         stored = fh.read()
     warm_cache = CharpolyCache(path)
-    warm = render_csv(run_survey(config, cache=warm_cache))
+    warm = render_csv(run_survey(config, warm_cache))
     warm_cache.flush()
     assert warm == cold
     assert warm_cache.hits > 0 and warm_cache.misses == 0
@@ -209,7 +211,8 @@ def test_criterion_8_determinism_and_cache_integrity(tmp_path):
         fh.write("\n".join(lines) + "\n")
     hurt = CharpolyCache(path)
     assert len(hurt.rejects) == 1
-    after = render_csv(run_survey(config))
+    with CharpolyCache(path) as store:
+        after = render_csv(run_survey(config, store))
     assert after == cold
     assert CharpolyCache(path).rejects == []  # the file was healed
     _verdict(8, True,

@@ -13,9 +13,7 @@ from heckeslopes.cache import (
     SCHEMA_VERSION,
     CacheRecord,
     CharpolyCache,
-    activate,
     cache_roundtrip,
-    fetch_or_compute,
     operator_label,
 )
 from heckeslopes.exact import IntPolynomial
@@ -144,19 +142,18 @@ def test_get_put_and_counters(tmp_path):
     assert len(calls) == 2
 
 
-def test_activate_scopes_the_module_hook(tmp_path):
+def test_store_block_flushes_on_exit(tmp_path):
     path = str(tmp_path / "c.jsonl")
-    cache = CharpolyCache(path)
-    # outside any activate block the module helper just computes
-    assert fetch_or_compute(2, 1, 12, "modsym",
-                            lambda: IntPolynomial([1, 24])).coeffs == (1, 24)
-    assert cache.records == {}
-    with activate(cache):
-        fetch_or_compute(2, 1, 12, "modsym", lambda: IntPolynomial([1, 24]))
-    assert len(cache.records) == 1
-    # the block flushed on exit
-    assert os.path.exists(path)
-    assert cache.misses == 1
+    with CharpolyCache(path) as cache:
+        cache.fetch_or_compute(2, 1, 12, "modsym", lambda: IntPolynomial([1, 24]))
+    assert CharpolyCache(path).get(2, 1, 12, "modsym") == IntPolynomial([1, 24])
+    # an error inside the block still flushes what was computed before it
+    with pytest.raises(ZeroDivisionError):
+        with CharpolyCache(path) as cache:
+            cache.fetch_or_compute(3, 1, 12, "modsym", lambda: IntPolynomial([1, -252]))
+            cache.fetch_or_compute(5, 1, 12, "modsym", lambda: 1 // 0)
+    assert len(CharpolyCache(path).records) == 2
+    assert cache.misses == 2
 
 
 def test_merge_overwrites_by_key():

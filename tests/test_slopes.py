@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckeslopes.cache import CharpolyCache
 from heckeslopes.dimensions import dim_cuspforms
 from heckeslopes.errors import ConsistencyError
 from heckeslopes.exact import INFINITY, SlopeMultiset
@@ -54,7 +55,7 @@ def test_tp_slopes_basic():
 
 def test_tp_slopes_engine_agreement():
     for engine in ("modsym", "trace", "both"):
-        s, z = tp_slopes(HeckeContext(2, 11, 4), engine)
+        s, z = tp_slopes(HeckeContext(2, 11, 4), CharpolyCache(engine=engine))
         assert s.as_list() == [Fraction(1, 2), Fraction(1, 2)] and z == 0
 
 

@@ -64,6 +64,18 @@ def test_compute_pair_inconclusive():
     assert row.verdict == "irregular" and row.status == "inconclusive"
 
 
+def test_compute_pair_reads_and_fills_the_store():
+    s = CharpolyCache()
+    compute_pair(2, 11, store=s)
+    levels = {(key[1], key[2]) for key in s.records}
+    assert (11, 2) in levels and (22, 2) in levels
+    hits, misses = s.hits, s.misses
+    assert compute_pair(2, 11, store=s) == compute_pair(2, 11)
+    assert s.hits > hits and s.misses == misses
+    with pytest.raises(ValueError):
+        CharpolyCache(engine="bogus")
+
+
 def test_witness_fields_empty_iff_regular_or_inconclusive():
     cfg = SurveyConfig(primes=(2, 3, 5), levels=(1, 11, 13), k_max=10)
     for row in run_survey(cfg).rows:
@@ -82,10 +94,10 @@ def test_run_survey_order_and_skips():
 def test_run_survey_quarantines_failures(monkeypatch):
     real = compute_pair
 
-    def flaky(p, N, k_max=0, engine="modsym"):
+    def flaky(p, N, k_max=0, store=None):
         if (p, N) == (2, 13):
             raise ConsistencyError("fabricated failure")
-        return real(p, N, k_max, engine)
+        return real(p, N, k_max, store)
 
     monkeypatch.setattr("heckeslopes.survey.compute_pair", flaky)
     result = run_survey(SurveyConfig(primes=(2,), levels=(11, 13), k_max=10))
@@ -130,13 +142,15 @@ def test_render_report_rejects_unknown_format():
 
 def test_cold_and_warm_runs_are_byte_identical(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    cfg = SurveyConfig(primes=(2, 3), levels=(11, 13), k_max=10, cache_path=path)
-    cold = render_csv(run_survey(cfg))
+    cfg = SurveyConfig(primes=(2, 3), levels=(11, 13), k_max=10)
+    with CharpolyCache(path) as store:
+        cold = render_csv(run_survey(cfg, store))
     assert os.path.exists(path)
     with open(path) as fh:
         stored = fh.read()
     assert stored.strip()
-    warm = render_csv(run_survey(cfg))
+    with CharpolyCache(path) as store:
+        warm = render_csv(run_survey(cfg, store))
     assert cold == warm
     # warm run served from cache without rewriting different bytes
     with open(path) as fh:
@@ -145,10 +159,11 @@ def test_cold_and_warm_runs_are_byte_identical(tmp_path):
 
 def test_warm_run_hits_cache(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    cfg = SurveyConfig(primes=(2,), levels=(11,), cache_path=path)
-    run_survey(cfg)
+    cfg = SurveyConfig(primes=(2,), levels=(11,))
+    with CharpolyCache(path) as store:
+        run_survey(cfg, store)
     warm_cache = CharpolyCache(path)
-    run_survey(cfg, cache=warm_cache)
+    run_survey(cfg, warm_cache)
     assert warm_cache.hits > 0 and warm_cache.misses == 0
 
 
@@ -158,6 +173,30 @@ def test_parallel_survey_matches_serial(tmp_path):
     par = run_survey(SurveyConfig(workers=2, **grid))
     assert serial.rows == par.rows
     assert serial.errors == par.errors
+
+
+def test_pool_is_no_larger_than_the_grid(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("heckeslopes.survey.ProcessPoolExecutor", InlinePool)
+    result = run_survey(SurveyConfig(primes=(2,), levels=(11,), workers=64))
+    assert sizes == [1]
+    assert render_csv(result) == "%s\n2,11,irregular,2,2,1/2,true,ok\n" % CSV_HEADER
+    run_survey(SurveyConfig(primes=(2, 3), levels=(11, 13, 15), k_max=4, workers=4))
+    assert sizes == [1, 4]
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +217,7 @@ def test_cli_survey_inconclusive_exit(capsys):
 
 
 def test_cli_survey_quarantine_exit(monkeypatch, capsys):
-    def boom(p, N, k_max=0, engine="modsym"):
+    def boom(p, N, k_max=0, store=None):
         raise ConsistencyError("fabricated")
 
     monkeypatch.setattr("heckeslopes.survey.compute_pair", boom)
@@ -194,6 +233,7 @@ def test_cli_usage_errors(capsys):
     assert main(["survey", "--p", "junk", "--N", "11", "--cache", ""]) == 1
     assert main(["survey", "--p", "0,2", "--N", "11", "--cache", ""]) == 1
     assert main(["regularity", "--p", "4", "--N", "11", "--cache", ""]) == 1
+    assert main(["survey", "--p", "2", "--N", "11", "--workers", "0", "--cache", ""]) == 1
     with pytest.raises(SystemExit) as ei:
         main(["crosscheck", "--format", "csv"])  # crosscheck has one report format
     assert ei.value.code == 1

@@ -1,8 +1,9 @@
 """The benchmark's tracer (perfbench/traced_cli.py) must keep working.
 
-It patches spans onto names in linalg and modsym from outside the
-package; a rename there would otherwise break traced benchmark runs
-without failing any test.
+It patches spans onto names in linalg and modsym, and counts cache hits
+and misses on CharpolyCache.fetch_or_compute, from outside the package;
+a rename there, or a charpoly path around the store, would otherwise
+break or zero traced benchmark runs without failing any test.
 """
 
 import json
@@ -30,6 +31,8 @@ def test_traced_cli_matches_plain_cli_and_records_linalg_spans(tmp_path):
     assert plain.returncode == 0, plain.stderr
     assert traced.returncode == plain.returncode, traced.stderr
     assert traced.stdout == plain.stdout
-    seconds = json.loads(stats_path.read_text())["seconds"]
+    stats = json.loads(stats_path.read_text())
     for layer in ("linalg.kernel", "linalg.span_solve"):
-        assert seconds[layer][2] > 0, layer  # [total s, self s, calls]
+        assert stats["seconds"][layer][2] > 0, layer  # [total s, self s, calls]
+    for counter in ("cache.hits", "cache.misses"):
+        assert stats["counts"][counter] > 0, counter

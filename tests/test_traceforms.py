@@ -17,7 +17,6 @@ from heckeslopes.traceforms import (
     ClassNumberTable,
     charpoly_from_traces,
     default_table,
-    hurwitz_class_number,
     local_embedding_count,
     trace_feasible,
     trace_tn,
@@ -26,6 +25,7 @@ from heckeslopes.traceforms import (
 from oracles import (
     delta_coefficients,
     eta_space_coefficient,
+    hurwitz_class_number,
     hurwitz_reference,
 )
 
