@@ -114,6 +114,7 @@ class CharpolyCache:
         self.rejects = []  # (line number, reason) from the last load
         self.hits = 0
         self.misses = 0
+        self._stored = None  # the records the file held at the last load or flush
         if path is not None:
             self.load()
 
@@ -122,19 +123,22 @@ class CharpolyCache:
         if self.path is None or not os.path.exists(self.path):
             return 0
         kept = 0
-        with open(self.path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
+        stored = {}
+        with open(self.path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
                 try:
+                    line = raw.decode("ascii").strip()
+                    if not line:
+                        continue
                     rec = CacheRecord.from_line(line)
-                except ValueError as exc:
+                except ValueError as exc:  # UnicodeDecodeError included
                     self.rejects.append((lineno, str(exc)))
                     log.warning("cache %s line %d dropped: %s", self.path, lineno, exc)
                     continue
-                self.records[rec.key] = rec
+                stored[rec.key] = rec
                 kept += 1
+        self.records.update(stored)
+        self._stored = stored
         return kept
 
     def get(self, p, level, weight, engine):
@@ -171,8 +175,15 @@ class CharpolyCache:
         return False
 
     def flush(self):
-        """Rewrite the backing file atomically (no-op for in-memory caches)."""
+        """Rewrite the backing file atomically.
+
+        A no-op for in-memory caches, and when the file already holds
+        exactly these records and its last load rejected nothing.
+        """
         if self.path is None:
+            return
+        if (self.records == self._stored and not self.rejects
+                and os.path.exists(self.path)):
             return
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
@@ -188,6 +199,7 @@ class CharpolyCache:
         except BaseException:
             os.unlink(tmp)
             raise
+        self._stored = dict(self.records)
 
 
 def cache_roundtrip(record, path):

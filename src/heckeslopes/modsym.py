@@ -13,11 +13,21 @@ cusp classes, and its dimension is asserted against the dimension formula
 on every build.  Hecke operators T_n (and U_p at p | M) act through the
 standard determinant-n family, dropping images whose bottom row is not
 primitive mod M.
+
+Hecke assembly runs in integers.  The projection of each generator to
+the quotient is stored once, over one common denominator.  Every family
+matrix has entries >= 0, so with X = 2^B, Y = 1 the product
+(aX + bY)^i (cX + dY)^(w-i) is one integer whose base-2^B digits are its
+coefficients; these integers are summed over the family per (generator,
+target point), and only then unpacked and projected.  A digit of such a
+sum is at most len(family) * max(a+b, c+d)^w, and 2^B is taken above
+that bound, so digits never carry into each other (a + b reaches 2n - 1,
+so (n + 1)^w would be too small).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .dimensions import dim_cuspforms
 from .errors import ConsistencyError
@@ -170,18 +180,13 @@ def merel_family(n):
     return mats
 
 
-def _binomial_powers(x, y, w):
-    """tab[i][j] = coefficient of X^j Y^(i-j) in (x*X + y*Y)^i, for i <= w."""
-    tab = [[1]]
-    for i in range(w):
-        row = tab[i]
-        nxt = [0] * (i + 2)
-        for j, c in enumerate(row):
-            if c:
-                nxt[j] += y * c
-                nxt[j + 1] += x * c
-        tab.append(nxt)
-    return tab
+def _powers(x, exps):
+    """{e: x**e} for the exponents e in exps, climbing through them in order."""
+    out, last, y = {}, 0, 1
+    for e in sorted(exps):
+        y *= x ** (e - last)
+        out[e], last = y, e
+    return out
 
 
 class PlusQuotient:
@@ -263,6 +268,12 @@ class PlusQuotient:
         self.free_roots = free
         self._dsu = dsu
 
+        # projection of every generator to the quotient, as integers over
+        # one common denominator
+        den = 1
+        for prow in rref.pivot_rows.values():
+            for v in prow.values():
+                den = lcm(den, v.denominator)
         pi = []
         for x in range(ncols):
             r, s = dsu.find(x)
@@ -271,9 +282,11 @@ class PlusQuotient:
                 continue
             prow = rref.pivot_rows.get(r)
             if prow is None:
-                pi.append({pos[r]: Fraction(s)})
+                pi.append({pos[r]: s * den})
             else:
-                pi.append({pos[c]: -s * v for c, v in prow.items() if c != r})
+                pi.append({pos[c]: -s * v.numerator * (den // v.denominator)
+                           for c, v in prow.items() if c != r})
+        self._den = den
         self._pi = pi
 
     # -- boundary and cuspidal subspace ---------------------------------
@@ -322,34 +335,44 @@ class PlusQuotient:
     # -- Hecke action ----------------------------------------------------
 
     def _quotient_hecke_columns(self, n):
-        """Images of the free generators under T_n, in quotient coordinates."""
+        """Images of the free generators under T_n, in quotient coordinates.
+
+        Assembled from packed integer sums (see the module docstring).
+        """
         w = self.k - 2
         p1 = self.p1
         npts = len(p1)
         D = self.quotient_dim
-        cols = [[Fraction(0)] * D for _ in range(D)]
-        for (aa, bb, cc, dd) in merel_family(n):
-            tab1 = _binomial_powers(aa, bb, w)
-            tab2 = _binomial_powers(cc, dd, w)
+        fam = merel_family(n)
+        # 2^B exceeds every digit of the sums below
+        B = (len(fam) * max(max(a + b, c + d) for a, b, c, d in fam) ** w).bit_length()
+        roots = [(col,) + divmod(r, npts) for col, r in enumerate(self.free_roots)]
+        exps = {i for _, i, _ in roots}
+        sums = [{} for _ in range(D)]
+        for (aa, bb, cc, dd) in fam:
+            A, C = (aa << B) + bb, (cc << B) + dd
+            powA, powC = _powers(A, exps), _powers(C, [w - e for e in exps])
             tgt = {}
-            for col, r in enumerate(self.free_roots):
-                i, t = divmod(r, npts)
-                c, d = p1.points[t]
+            for col, i, t in roots:
                 if t not in tgt:
+                    c, d = p1.points[t]
                     tgt[t] = p1.index(aa * c + cc * d, bb * c + dd * d)
                 t1 = tgt[t]
                 if t1 is None:
                     continue  # image not primitive mod M: dropped
-                # (aa X + bb Y)^i (cc X + dd Y)^(w-i) expanded in X^j Y^(w-j)
-                row1, row2 = tab1[i], tab2[w - i]
-                vec = cols[col]
+                acc = sums[col]
+                acc[t1] = acc.get(t1, 0) + powA[i] * powC[w - i]
+        mask = (1 << B) - 1
+        cols = []
+        for acc in sums:
+            vec = [0] * D
+            for t1, packed in acc.items():
                 for j in range(w + 1):
-                    coeff = 0
-                    for u in range(max(0, j - (w - i)), min(i, j) + 1):
-                        coeff += row1[u] * row2[j - u]
+                    coeff = packed >> (B * j) & mask
                     if coeff:
                         for fp, fv in self._pi[self._gen(j, t1)].items():
                             vec[fp] += coeff * fv
+            cols.append([Fraction(v, self._den) for v in vec])
         return cols
 
     def hecke_matrix(self, n):

@@ -227,13 +227,15 @@ def trace_tn(k, N, n, table=None):
     for q in level_fact:
         psi = psi // q * (q + 1)
 
+    # integer sums: total holds 24 times the trace, elliptic 12 times the
+    # elliptic sum, so -(1/2) elliptic enters total as -elliptic
     # elliptic + identity terms: -(1/2) sum over t^2 <= 4n
-    elliptic = Fraction(0)
+    elliptic = 0
     tmax = isqrt(4 * n)
     for t in range(tmax + 1):
         weight = 1 if t == 0 else 2  # P_k is even in t for even k
         if t * t == 4 * n:
-            loc = Fraction(-psi, 12)
+            loc = -psi  # 12 * (-psi / 12)
         else:
             d0, f0 = _fundamental_split(4 * n - t * t, table)
             sig = {q: kronecker(-d0, q) for q in level_fact}
@@ -243,26 +245,26 @@ def trace_tn(k, N, n, table=None):
                 for q, nu in level_fact.items():
                     emb *= local_embedding_count(q, sig[q], _vp(g, q), nu)
                 acc += emb
-            loc = Fraction(acc, 6)
+            loc = 2 * acc  # 12 * (acc / 6)
         if loc:
             elliptic += weight * _gegenbauer(k, t, n) * loc
 
     # hyperbolic term over divisor pairs d * e = n, d <= e
-    hyper = Fraction(0)
+    hyper = 0
     for d in divisors(n):
         e = n // d
         if d > e:
             break
         term = d ** (k - 1) * _sigma_phi(e - d, N)
-        hyper += Fraction(term, 2) if d == e else term
+        hyper += 12 * term if d == e else 24 * term
 
-    total = -elliptic / 2 - hyper
+    total = -elliptic - hyper
     if k == 2:
-        total += sum(c for c in divisors(n) if gcd(c, N) == 1)
-    if total.denominator != 1:
+        total += 24 * sum(c for c in divisors(n) if gcd(c, N) == 1)
+    if total % 24:
         raise ArithmeticError(
-            f"non-integral trace {total} at (k={k}, N={N}, n={n})")
-    return int(total)
+            f"non-integral trace {Fraction(total, 24)} at (k={k}, N={N}, n={n})")
+    return total // 24
 
 
 def _beta(n):

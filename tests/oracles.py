@@ -6,6 +6,8 @@ enumerations (different normal forms from each other and from the
 library's sieve), characteristic polynomials from cofactor expansion, and reduced row
 echelon forms from dense Gauss-Jordan elimination.  Agreement between
 these and the package is the point of the tests, so keep it that way.
+Hecke matrices are assembled term by term from a built space's
+presentation, so they referee the assembly, not the presentation.
 """
 
 from fractions import Fraction
@@ -208,3 +210,64 @@ def rref(rows, ncols=None):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+# ----------------------------------------------------------------------
+# Hecke matrices by binomial expansion in Fractions
+
+def _binomial_powers(x, y, w):
+    """tab[i][j] = coefficient of X^j Y^(i-j) in (x*X + y*Y)^i, for i <= w."""
+    tab = [[1]]
+    for i in range(w):
+        row = tab[i]
+        nxt = [0] * (i + 2)
+        for j, c in enumerate(row):
+            if c:
+                nxt[j] += y * c
+                nxt[j + 1] += x * c
+        tab.append(nxt)
+    return tab
+
+
+def hecke_matrix_reference(space, family):
+    """Matrix of the Hecke operator given by family on space's cuspidal basis.
+
+    Reads only the space's presentation (P^1 list, free generators, the
+    projection table over its common denominator, cuspidal basis).  Each
+    Merel matrix's (aX + bY)^i (cX + dY)^(w-i) is expanded term by term,
+    every term is projected to the quotient in Fractions, and the images
+    are written in the cuspidal basis through the dense rref above.
+    """
+    w = space.k - 2
+    p1 = space.p1
+    npts = len(p1)
+    D = space.quotient_dim
+    pi = [{c: Fraction(v, space._den) for c, v in row.items()} for row in space._pi]
+    cols = [[Fraction(0)] * D for _ in range(D)]
+    for (aa, bb, cc, dd) in family:
+        tab1 = _binomial_powers(aa, bb, w)
+        tab2 = _binomial_powers(cc, dd, w)
+        for col, r in enumerate(space.free_roots):
+            i, t = divmod(r, npts)
+            c, d = p1.points[t]
+            t1 = p1.index(aa * c + cc * d, bb * c + dd * d)
+            if t1 is None:
+                continue
+            row1, row2 = tab1[i], tab2[w - i]
+            for j in range(w + 1):
+                coeff = 0
+                for u in range(max(0, j - (w - i)), min(i, j) + 1):
+                    coeff += row1[u] * row2[j - u]
+                if coeff:
+                    for fp, fv in pi[j * npts + t1].items():
+                        cols[col][fp] += coeff * fv
+    basis = space.cuspidal_basis
+    d = len(basis)
+    images = [[sum(x * cols[r][idx] for r, x in enumerate(bvec) if x)
+               for idx in range(D)] for bvec in basis]
+    system = [[bvec[idx] for bvec in basis] + [img[idx] for img in images]
+              for idx in range(D)]
+    red, pivots = rref(system, 2 * d)
+    if pivots != list(range(d)):
+        raise AssertionError("Hecke image outside the cuspidal span")
+    return [[red[i][d + j] for j in range(d)] for i in range(d)]

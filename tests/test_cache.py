@@ -105,6 +105,17 @@ def test_load_tolerates_truncation_and_junk(tmp_path, caplog):
     assert linenos == [2, 3]
 
 
+def test_load_rejects_non_ascii_lines(tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    good = sample_record()
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe junk\n")
+        fh.write(good.to_line().encode("ascii") + b"\n")
+    cache = CharpolyCache(path)
+    assert [ln for ln, _ in cache.rejects] == [1]
+    assert list(cache.records) == [good.key]
+
+
 def test_flush_is_atomic_and_sorted(tmp_path):
     path = str(tmp_path / "sub" / "c.jsonl")
     cache = CharpolyCache(path)
@@ -121,6 +132,21 @@ def test_flush_is_atomic_and_sorted(tmp_path):
     CharpolyCache(path).flush()
     with open(path) as fh:
         assert fh.read().splitlines() == lines
+
+
+def test_flush_leaves_an_unchanged_file_alone(tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    with CharpolyCache(path) as cache:
+        cache.fetch_or_compute(2, 1, 12, "modsym", lambda: IntPolynomial([1, 24]))
+    before = os.stat(path)
+    with CharpolyCache(path) as warm:
+        assert warm.fetch_or_compute(2, 1, 12, "modsym", None) == IntPolynomial([1, 24])
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    # a new record is written
+    with CharpolyCache(path) as warm:
+        warm.put(3, 1, 12, "modsym", IntPolynomial([1, -252]))
+    assert len(CharpolyCache(path).records) == 2
 
 
 def test_get_put_and_counters(tmp_path):

@@ -20,7 +20,12 @@ from heckeslopes.modsym import (
     plus_quotient,
 )
 
-from oracles import ETA_SPACES, delta_coefficients, eta_space_coefficient
+from oracles import (
+    ETA_SPACES,
+    delta_coefficients,
+    eta_space_coefficient,
+    hecke_matrix_reference,
+)
 
 
 def test_cuspidal_plus_dimension_pins():
@@ -62,6 +67,28 @@ def test_hecke_index_guards():
     # index 1 acts as the identity
     A = q.hecke_matrix(1)
     assert A == [[Fraction(1)]]
+
+
+def test_hecke_matrix_matches_fraction_referee():
+    # level 1 at p = 59, where a packing bound of (p + 1)^w is too small
+    cases = [(k, 1, 59) for k in range(12, 38, 2)]
+    # T_p at level N, U_p at level N p, and T_q there for the least prime
+    # q not dividing N p
+    for p in (2, 3, 5, 7):
+        for N in range(1, 7):
+            M = N * p
+            q = next(q for q in (2, 3, 5, 7, 11) if M % q)
+            if N % p:
+                cases.append((12, N, p))
+            for k in (2, 4):
+                cases += [(k, M, p), (k, M, q)]
+    # (6, 30) projects its generators over a common denominator of 720
+    assert plus_quotient(6, 30)._den > 1
+    cases += [(6, 30, 7), (6, 30, 5)]
+    for k, M, n in sorted(set(cases)):
+        space = plus_quotient(k, M)
+        assert space.hecke_matrix(n) == hecke_matrix_reference(
+            space, merel_family(n)), (k, M, n)
 
 
 def test_merel_family_sizes():
