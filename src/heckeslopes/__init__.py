@@ -23,7 +23,7 @@ from .slopes import (HeckeContext, P2Report, RegularityVerdict, UpSlopeAssembly,
                      minimal_witness_report, p2_refinement_check,
                      refinement_pair, regularity_weight_range, tp_slopes,
                      up_assembly, up_slopes_direct, weight_sequence)
-from .survey import (CSV_HEADER, ReportRow, SurveyConfig, SurveyResult,
+from .survey import (COLUMNS, CSV_HEADER, ReportRow, SurveyConfig, SurveyResult,
                      compute_pair, render_report, run_survey)
 from .traceforms import (ClassNumberTable, charpoly_from_traces, default_table,
                          trace_feasible, trace_tn)
@@ -42,7 +42,7 @@ __all__ = [
     "find_fractional_witness", "is_regular", "minimal_witness_report",
     "p2_refinement_check", "refinement_pair", "regularity_weight_range",
     "tp_slopes", "up_assembly", "up_slopes_direct", "weight_sequence",
-    "CSV_HEADER", "ReportRow", "SurveyConfig", "SurveyResult",
+    "COLUMNS", "CSV_HEADER", "ReportRow", "SurveyConfig", "SurveyResult",
     "compute_pair", "render_report", "run_survey",
     "ClassNumberTable", "charpoly_from_traces", "default_table",
     "trace_feasible", "trace_tn",

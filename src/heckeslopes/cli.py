@@ -7,6 +7,7 @@ nothing worse happened).
 """
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -15,11 +16,10 @@ from .cache import ENGINES, CharpolyCache
 from .dimensions import dim_cuspforms
 from .errors import ConsistencyError, TraceBudgetExceeded
 from .modsym import charpoly_cuspidal
-from .slopes import (HeckeContext, is_regular, minimal_witness_report,
-                     regularity_weight_range, tp_slopes, up_assembly,
-                     up_slopes_direct)
-from .survey import (FORMATS, ReportRow, SurveyConfig, SurveyResult,
-                     compute_pair, render_report, run_survey)
+from .slopes import (HeckeContext, is_regular, regularity_weight_range, tp_slopes,
+                     up_assembly, up_slopes_direct, witness_label)
+from .survey import (COLUMNS, FORMATS, SurveyConfig, compute_pair, render_report,
+                     run_survey)
 from .traceforms import charpoly_from_traces, trace_feasible
 
 log = logging.getLogger(__name__)
@@ -35,6 +35,10 @@ EXIT_INCONCLUSIVE = 3
 # assembly against a direct level-Np computation; beyond it only the
 # trace-vs-modsym identity is checked.
 DIRECT_DIM_CAP = 45
+
+REGULARITY_COLUMNS = ("p", "N", "k", "dim", "slopes", "zero_count", "verdict", "j")
+SLOPES_COLUMNS = ("p", "N", "k", "dim", "tp_slopes", "zero_count", "up_slopes",
+                  "new_multiplicity")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,36 +98,21 @@ def _print(text):
 # regularity
 
 def cmd_regularity(args):
-    try:
-        with _open_store(args) as store:
-            verdict = is_regular(args.p, args.N, store)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    summary = "regular" if verdict.regular else "irregular, j=%d" % verdict.j
-    if args.fmt == "csv":
-        lines = ["p,N,k,dim,slopes,zero_count,verdict"]
-        for row in verdict.table:
-            slopes = ";".join(str(s) for s in row.slopes.as_list())
-            lines.append("%d,%d,%d,%d,%s,%d,%s"
-                         % (args.p, args.N, row.k, row.dim, slopes, row.zero_count, summary))
-        _print("\n".join(lines) + "\n")
-    elif args.fmt == "jsonl":
-        import json
-        for row in verdict.table:
-            _print(json.dumps({
-                "p": args.p, "N": args.N, "k": row.k, "dim": row.dim,
-                "slopes": [str(s) for s in row.slopes.as_list()],
-                "zero_count": row.zero_count}) + "\n")
-        _print(json.dumps({"p": args.p, "N": args.N, "verdict": summary}) + "\n")
-    else:
-        _print("T_%d slopes on S_k(Gamma_0(%d)), weights %s\n"
-               % (args.p, args.N, list(regularity_weight_range(args.p))))
-        for row in verdict.table:
-            note = " (vacuous)" if row.k % 2 else ""
-            _print("  k=%-2d dim=%-3d slopes=%s zero_count=%d%s\n"
-                   % (row.k, row.dim, row.slopes, row.zero_count, note))
-        _print("verdict: %s\n" % summary)
+    with _open_store(args) as store:
+        verdict = is_regular(args.p, args.N, store)
+    word = "regular" if verdict.regular else "irregular"
+    if args.fmt != "text":
+        _print(render_report(REGULARITY_COLUMNS, [
+            (args.p, args.N, row.k, row.dim, row.slopes, row.zero_count, word, verdict.j)
+            for row in verdict.table], args.fmt))
+        return EXIT_OK
+    _print("T_%d slopes on S_k(Gamma_0(%d)), weights %s\n"
+           % (args.p, args.N, list(regularity_weight_range(args.p))))
+    for row in verdict.table:
+        note = " (vacuous)" if row.k % 2 else ""
+        _print("  k=%-2d dim=%-3d slopes=%s zero_count=%d%s\n"
+               % (row.k, row.dim, row.slopes, row.zero_count, note))
+    _print("verdict: %s\n" % (word if verdict.regular else "irregular, j=%d" % verdict.j))
     return EXIT_OK
 
 
@@ -132,39 +121,21 @@ def cmd_regularity(args):
 
 def cmd_slopes(args):
     rows = []
-    try:
-        with _open_store(args) as store:
-            for k in range(2, args.k_max + 1, 2):
-                ctx = HeckeContext(args.p, args.N, k)
-                slopes, zeros = tp_slopes(ctx, store)
-                asm = up_assembly(ctx, store)
-                rows.append((k, dim_cuspforms(k, args.N), slopes, zeros, asm))
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    if args.fmt == "csv":
-        lines = ["p,N,k,dim,tp_slopes,zero_count,up_slopes,new_multiplicity"]
-        for k, dim, slopes, zeros, asm in rows:
-            lines.append("%d,%d,%d,%d,%s,%d,%s,%d" % (
-                args.p, args.N, k, dim, ";".join(str(s) for s in slopes.as_list()),
-                zeros, ";".join(str(s) for s in asm.combined.as_list()),
-                asm.new_multiplicity))
-        _print("\n".join(lines) + "\n")
-    elif args.fmt == "jsonl":
-        import json
-        for k, dim, slopes, zeros, asm in rows:
-            _print(json.dumps({
-                "p": args.p, "N": args.N, "k": k, "dim": dim,
-                "tp_slopes": [str(s) for s in slopes.as_list()],
-                "zero_count": zeros,
-                "up_slopes": [str(s) for s in asm.combined.as_list()],
-                "new_multiplicity": asm.new_multiplicity}) + "\n")
-    else:
-        _print("T_%d at level %d and assembled U_%d at level %d\n"
-               % (args.p, args.N, args.p, args.N * args.p))
-        for k, dim, slopes, zeros, asm in rows:
-            _print("  k=%-3d dim=%-3d T: %s zeros=%d | U: %s (new x%d)\n"
-                   % (k, dim, slopes, zeros, asm.combined, asm.new_multiplicity))
+    with _open_store(args) as store:
+        for k in range(2, args.k_max + 1, 2):
+            ctx = HeckeContext(args.p, args.N, k)
+            slopes, zeros = tp_slopes(ctx, store)
+            asm = up_assembly(ctx, store)
+            rows.append((args.p, args.N, k, dim_cuspforms(k, args.N), slopes, zeros,
+                         asm.combined, asm.new_multiplicity))
+    if args.fmt != "text":
+        _print(render_report(SLOPES_COLUMNS, rows, args.fmt))
+        return EXIT_OK
+    _print("T_%d at level %d and assembled U_%d at level %d\n"
+           % (args.p, args.N, args.p, args.N * args.p))
+    for _, _, k, dim, slopes, zeros, up, new in rows:
+        _print("  k=%-3d dim=%-3d T: %s zeros=%d | U: %s (new x%d)\n"
+               % (k, dim, slopes, zeros, up, new))
     return EXIT_OK
 
 
@@ -172,20 +143,12 @@ def cmd_slopes(args):
 # witness
 
 def cmd_witness(args):
-    try:
-        with _open_store(args) as store:
-            row = compute_pair(args.p, args.N, args.k_max, store)
-            label = ""
-            if row.verdict == "irregular" and row.status == "ok":
-                label = minimal_witness_report(args.p, args.N, args.k_max or None,
-                                               store).label
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    result = SurveyResult([row], [], [])
-    _print(render_report(result, args.fmt))
-    if label and args.fmt == "text":
-        _print("minimal witness weight vs {j, j+(p-1)}: %s\n" % label)
+    with _open_store(args) as store:
+        row = compute_pair(args.p, args.N, args.k_max, store)
+    _print(render_report(COLUMNS, [dataclasses.astuple(row)], args.fmt))
+    if row.witness_k is not None and args.fmt == "text":
+        _print("minimal witness weight vs {j, j+(p-1)}: %s\n"
+               % witness_label(row.p, row.j, row.witness_k))
     return EXIT_INCONCLUSIVE if row.status == "inconclusive" else EXIT_OK
 
 
@@ -193,19 +156,16 @@ def cmd_witness(args):
 # survey
 
 def cmd_survey(args):
-    try:
-        primes = _parse_int_set(args.p)
-        levels = _parse_int_set(args.N)
-        if args.workers < 1:
-            raise ValueError("--workers must be at least 1, got %d" % args.workers)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    primes = _parse_int_set(args.p)
+    levels = _parse_int_set(args.N)
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1, got %d" % args.workers)
     config = SurveyConfig(primes=primes, levels=levels, k_max=args.k_max,
                           workers=args.workers)
     with _open_store(args) as store:
         result = run_survey(config, store)
-    _print(render_report(result, args.fmt))
+    _print(render_report(COLUMNS, [dataclasses.astuple(row) for row in result.rows],
+                         args.fmt, result.errors))
     if any(kind in ("ConsistencyError", "ArithmeticError") for _, _, kind, _ in result.errors):
         return EXIT_INCONSISTENT
     if any(row.status == "inconclusive" for row in result.rows):
@@ -217,12 +177,8 @@ def cmd_survey(args):
 # crosscheck
 
 def cmd_crosscheck(args):
-    try:
-        primes = _parse_int_set(args.p)
-        levels = _parse_int_set(args.N)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    primes = _parse_int_set(args.p)
+    levels = _parse_int_set(args.N)
     store = _open_store(args)
     failures = []
     for lineno, reason in store.rejects:
@@ -234,9 +190,10 @@ def cmd_crosscheck(args):
               for k in range(2, args.k_max + 1, 2)]
     if not points:
         print("warning: empty grid, nothing to check", file=sys.stderr)
-        _print("crosscheck: PASS (trivial, empty grid)\n")
-        return EXIT_OK
-    with store:
+        if not failures:
+            _print("crosscheck: PASS (trivial, empty grid)\n")
+            return EXIT_OK
+    try:
         for p, N, k in points:
             ctx = HeckeContext(p, N, k)
             if trace_feasible(k, N, p):
@@ -262,6 +219,9 @@ def cmd_crosscheck(args):
                         % (k, N, p, asm.combined, direct, p, N, k))
             else:
                 direct_skipped += 1
+    finally:
+        if not store.rejects:  # strict mode keeps a damaged file as the evidence
+            store.flush()
     _print("engine identity:   %d checked, %d beyond trace budget\n"
            % (engines_checked, engines_skipped))
     _print("assembly = direct: %d checked, %d beyond dim cap %d\n"
@@ -331,7 +291,7 @@ def main(argv=None):
     except ConsistencyError as exc:
         print("inconsistency: %s" % exc, file=sys.stderr)
         return EXIT_INCONSISTENT
-    except TraceBudgetExceeded as exc:
+    except (ValueError, TraceBudgetExceeded) as exc:  # bad input, or out of reach
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

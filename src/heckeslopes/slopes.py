@@ -17,6 +17,17 @@ from .modsym import charpoly_cuspidal
 from .traceforms import charpoly_from_traces
 
 
+def _check_tame_pair(p, N):
+    """Raise ValueError unless p is prime and N is a positive level prime to p."""
+    if not is_prime(p):
+        raise ValueError("p must be prime, got %r" % (p,))
+    if not isinstance(N, int) or N < 1:
+        raise ValueError("N must be a positive integer, got %r" % (N,))
+    if N % p == 0:
+        raise ValueError("p = %d divides N = %d; the tame level must be prime to p"
+                         % (p, N))
+
+
 @dataclass(frozen=True)
 class HeckeContext:
     """A triple (p, N, k): prime, tame level with p not dividing N, even weight."""
@@ -26,13 +37,7 @@ class HeckeContext:
     k: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError("p must be prime, got %r" % (self.p,))
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ValueError("N must be a positive integer, got %r" % (self.N,))
-        if self.N % self.p == 0:
-            raise ValueError("p = %d divides N = %d; the tame level must be prime to p"
-                             % (self.p, self.N))
+        _check_tame_pair(self.p, self.N)
         if not isinstance(self.k, int) or self.k < 2 or self.k % 2:
             raise ValueError("k must be an even integer >= 2, got %r" % (self.k,))
 
@@ -116,13 +121,7 @@ def is_regular(p, N, store=None):
     zero-dimensional spaces and are recorded as vacuous rows without any
     computation.
     """
-    if not is_prime(p):
-        raise ValueError("p must be prime, got %r" % (p,))
-    if not isinstance(N, int) or N < 1:
-        raise ValueError("N must be a positive integer, got %r" % (N,))
-    if N % p == 0:
-        raise ValueError("p = %d divides N = %d; regularity is defined for tame levels"
-                         % (p, N))
+    _check_tame_pair(p, N)
     table = []
     j = None
     for k in regularity_weight_range(p):
@@ -280,14 +279,17 @@ def minimal_witness_report(p, N, k_max=None, store=None):
     if witness is None:
         return WitnessReport(p, N, j, None, predicted, None,
                              "inconclusive: no fractional slope up to k_max=%d" % k_max)
-    if witness.k == j:
-        label = "k = j"
-    elif witness.k == predicted[1]:
-        label = "k = j + (p-1)"
-    else:
-        label = ("mismatch: minimal witness k=%d outside {%d, %d}"
-                 % (witness.k, predicted[0], predicted[1]))
-    return WitnessReport(p, N, j, witness, predicted, witness.k in predicted, label)
+    return WitnessReport(p, N, j, witness, predicted, witness.k in predicted,
+                         witness_label(p, j, witness.k))
+
+
+def witness_label(p, j, k):
+    """Where the minimal witness weight k falls against {j, j + (p-1)}."""
+    if k == j:
+        return "k = j"
+    if k == j + p - 1:
+        return "k = j + (p-1)"
+    return "mismatch: minimal witness k=%d outside {%d, %d}" % (k, j, j + p - 1)
 
 
 def weight_sequence(j, p, n):

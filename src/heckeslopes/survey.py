@@ -1,4 +1,4 @@
-"""Regularity/witness surveys over (p, N) grids and report rendering.
+"""Regularity/witness surveys over (p, N) grids, and the one report renderer.
 
 Rows always come out in (p, N) order regardless of how they were
 computed, and rendering never consults clocks, locales, or paths, so a
@@ -6,19 +6,28 @@ survey report is byte-identical across runs.  The caller owns the
 charpoly store (a CharpolyCache, which also picks the engine) and its
 file; the store can change how fast a report appears but never its
 content.
+
+render_report writes every row-shaped report of the command line
+(survey, witness, and the csv/jsonl forms of regularity and slopes):
+the caller names the columns and passes rows of plain values, and
+_cell alone decides how a value is spelled in each format.
 """
 
+import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cache import CharpolyCache
+from .exact import SlopeMultiset
 from .slopes import default_witness_bound, find_fractional_witness, is_regular
 
 log = logging.getLogger(__name__)
 
-CSV_HEADER = "p,N,verdict,j,witness_k,witness_slope,prediction_match,status"
+COLUMNS = ("p", "N", "verdict", "j", "witness_k", "witness_slope", "prediction_match",
+           "status")
+CSV_HEADER = ",".join(COLUMNS)
 FORMATS = ("csv", "jsonl", "text")
 
 
@@ -129,65 +138,50 @@ def run_survey(config, store=None):
 
 
 # ----------------------------------------------------------------------
-# Renderers.  All of them must be pure functions of the result.
+# The one report renderer.  It is a pure function of its arguments.
 
-def _cell(value):
+def _cell(value, fmt):
+    """How one value is spelled in a cell of the given format."""
+    if isinstance(value, SlopeMultiset):
+        slopes = [str(s) for s in value.as_list()]
+        return slopes if fmt == "jsonl" else ";".join(slopes)
+    if isinstance(value, Fraction):
+        return str(value)
+    if fmt == "jsonl":
+        return value  # json spells None, booleans and ints itself
     if value is None:
         return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return str(value)
 
 
-def _row_cells(row):
-    return [_cell(v) for v in (row.p, row.N, row.verdict, row.j, row.witness_k,
-                               row.witness_slope, row.prediction_match, row.status)]
+def render_report(columns, rows, fmt, errors=()):
+    """Render rows of values under column names as csv, jsonl or text.
 
-
-def render_csv(result):
-    lines = [CSV_HEADER]
-    lines.extend(",".join(_row_cells(row)) for row in result.rows)
-    for p, N, kind, msg in result.errors:
-        lines.append("# error p=%d N=%d %s: %s" % (p, N, kind, " ".join(msg.split())))
-    return "\n".join(lines) + "\n"
-
-
-def render_jsonl(result):
-    import json
-
-    lines = []
-    for row in result.rows:
-        slope = None if row.witness_slope is None else str(row.witness_slope)
-        lines.append(json.dumps({
-            "p": row.p, "N": row.N, "verdict": row.verdict, "j": row.j,
-            "witness_k": row.witness_k, "witness_slope": slope,
-            "prediction_match": row.prediction_match, "status": row.status,
-        }))
-    for p, N, kind, msg in result.errors:
-        lines.append(json.dumps({"error": {"p": p, "N": N, "kind": kind, "message": msg}}))
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def render_text(result):
-    header = CSV_HEADER.split(",")
-    table = [header] + [_row_cells(row) for row in result.rows]
-    widths = [max(len(line[i]) for line in table) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-             for line in table]
-    if result.errors:
-        lines.append("")
-        lines.append("errors:")
-        lines.extend("  (p=%d, N=%d) %s: %s" % e for e in result.errors)
-    return "\n".join(lines) + "\n"
-
-
-def render_report(result, fmt):
-    if fmt == "csv":
-        return render_csv(result)
+    csv is a header line and one comma-joined line per row, with errors
+    as trailing "# error" comments; jsonl is one object per row and per
+    error; text is a table aligned on the widest cell of each column,
+    errors listed below it.  errors are (p, N, kind, message) tuples.
+    """
+    if fmt not in FORMATS:
+        raise ValueError("format must be one of %r, got %r" % (FORMATS, fmt))
     if fmt == "jsonl":
-        return render_jsonl(result)
-    if fmt == "text":
-        return render_text(result)
-    raise ValueError("format must be one of %r, got %r" % (FORMATS, fmt))
+        lines = [json.dumps({name: _cell(v, fmt) for name, v in zip(columns, row)})
+                 for row in rows]
+        lines.extend(json.dumps({"error": {"p": p, "N": N, "kind": kind, "message": msg}})
+                     for p, N, kind, msg in errors)
+        return "".join(line + "\n" for line in lines)
+    table = [list(columns)] + [[_cell(v, fmt) for v in row] for row in rows]
+    if fmt == "csv":
+        lines = [",".join(line) for line in table]
+        lines.extend("# error p=%d N=%d %s: %s" % (p, N, kind, " ".join(msg.split()))
+                     for p, N, kind, msg in errors)
+    else:
+        widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+                 for line in table]
+        if errors:
+            lines.extend(["", "errors:"])
+            lines.extend("  (p=%d, N=%d) %s: %s" % e for e in errors)
+    return "\n".join(lines) + "\n"

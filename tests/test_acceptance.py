@@ -8,6 +8,7 @@ give the same characteristic polynomial at every point of the grid.
 import os
 import random
 import time
+from dataclasses import astuple
 from fractions import Fraction
 
 from heckeslopes.cache import CharpolyCache
@@ -24,7 +25,7 @@ from heckeslopes.slopes import (
     up_assembly,
     up_slopes_direct,
 )
-from heckeslopes.survey import SurveyConfig, render_csv, run_survey
+from heckeslopes.survey import COLUMNS, SurveyConfig, render_report, run_survey
 from heckeslopes.traceforms import (
     charpoly_from_traces,
     trace_feasible,
@@ -188,17 +189,22 @@ def test_criterion_7_p2_refinements():
              % (list(levels), refined, direct_fractional, vacuous), t0, 120)
 
 
+def _survey_csv(result):
+    return render_report(COLUMNS, [astuple(row) for row in result.rows], "csv",
+                         result.errors)
+
+
 def test_criterion_8_determinism_and_cache_integrity(tmp_path):
     t0 = time.time()
     path = str(tmp_path / "cache.jsonl")
     config = SurveyConfig(primes=(2, 3, 5, 7), levels=tuple(range(1, 31)), k_max=12)
     with CharpolyCache(path) as store:
-        cold = render_csv(run_survey(config, store))
+        cold = _survey_csv(run_survey(config, store))
     assert os.path.exists(path)
     with open(path) as fh:
         stored = fh.read()
     warm_cache = CharpolyCache(path)
-    warm = render_csv(run_survey(config, warm_cache))
+    warm = _survey_csv(run_survey(config, warm_cache))
     warm_cache.flush()
     assert warm == cold
     assert warm_cache.hits > 0 and warm_cache.misses == 0
@@ -212,7 +218,7 @@ def test_criterion_8_determinism_and_cache_integrity(tmp_path):
     hurt = CharpolyCache(path)
     assert len(hurt.rejects) == 1
     with CharpolyCache(path) as store:
-        after = render_csv(run_survey(config, store))
+        after = _survey_csv(run_survey(config, store))
     assert after == cold
     assert CharpolyCache(path).rejects == []  # the file was healed
     _verdict(8, True,

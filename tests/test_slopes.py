@@ -27,6 +27,7 @@ from heckeslopes.slopes import (
     up_assembly,
     up_slopes_direct,
     weight_sequence,
+    witness_label,
 )
 
 
@@ -91,6 +92,8 @@ def test_is_regular_rejects_bad_input():
         is_regular(4, 11)
     with pytest.raises(ValueError):
         is_regular(11, 22)
+    with pytest.raises(ValueError):
+        is_regular(2, 0)
 
 
 def test_odd_weight_rows_are_vacuous():
@@ -173,6 +176,12 @@ def test_minimal_witness_report_level_11():
     assert r.witness.slope == Fraction(1, 2)
     assert r.match is True and r.label == "k = j"
     assert r.predicted == (2, 3)
+
+
+def test_witness_label():
+    assert witness_label(2, 2, 2) == "k = j"
+    assert witness_label(59, 16, 74) == "k = j + (p-1)"
+    assert witness_label(5, 4, 6) == "mismatch: minimal witness k=6 outside {4, 8}"
 
 
 def test_minimal_witness_report_rejects_regular():

@@ -6,8 +6,10 @@ inconclusive bounded witness search.  Reports are byte-identical across
 runs and cache states.
 """
 
+import csv
 import json
 import os
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -16,14 +18,12 @@ from heckeslopes.cache import CharpolyCache
 from heckeslopes.cli import main
 from heckeslopes.errors import ConsistencyError
 from heckeslopes.survey import (
+    COLUMNS,
     CSV_HEADER,
     ReportRow,
     SurveyConfig,
     compute_pair,
-    render_csv,
-    render_jsonl,
     render_report,
-    render_text,
     run_survey,
 )
 
@@ -32,6 +32,12 @@ GOLDEN_11 = (
     "2,11,irregular,2,2,1/2,true,ok\n"
     "3,11,regular,,,,,ok\n"
 )
+
+
+def render(result, fmt):
+    """A survey result through the one renderer, as the survey command calls it."""
+    return render_report(COLUMNS, [astuple(row) for row in result.rows], fmt,
+                         result.errors)
 
 
 def test_csv_header_is_frozen():
@@ -107,19 +113,19 @@ def test_run_survey_quarantines_failures(monkeypatch):
 
 def test_render_csv_golden():
     result = run_survey(SurveyConfig(primes=(2, 3), levels=(11,)))
-    assert render_csv(result) == GOLDEN_11
+    assert render(result, "csv") == GOLDEN_11
 
 
 def test_render_csv_includes_errors_as_comments():
     result = run_survey(SurveyConfig(primes=(2,), levels=(11,)))
     result.errors.append((5, 7, "ConsistencyError", "multi\nline  message"))
-    out = render_csv(result)
+    out = render(result, "csv")
     assert out.endswith("# error p=5 N=7 ConsistencyError: multi line message\n")
 
 
 def test_render_jsonl():
     result = run_survey(SurveyConfig(primes=(2, 3), levels=(11,)))
-    lines = [json.loads(l) for l in render_jsonl(result).splitlines()]
+    lines = [json.loads(l) for l in render(result, "jsonl").splitlines()]
     assert lines[0] == {"p": 2, "N": 11, "verdict": "irregular", "j": 2,
                         "witness_k": 2, "witness_slope": "1/2",
                         "prediction_match": True, "status": "ok"}
@@ -128,7 +134,7 @@ def test_render_jsonl():
 
 def test_render_text():
     result = run_survey(SurveyConfig(primes=(2,), levels=(11,)))
-    out = render_text(result)
+    out = render(result, "text")
     head, row = out.splitlines()[:2]
     assert head.split()[:3] == ["p", "N", "verdict"]
     assert row.split() == ["2", "11", "irregular", "2", "2", "1/2", "true", "ok"]
@@ -137,20 +143,20 @@ def test_render_text():
 def test_render_report_rejects_unknown_format():
     result = run_survey(SurveyConfig(primes=(2,), levels=(1,)))
     with pytest.raises(ValueError):
-        render_report(result, "yaml")
+        render(result, "yaml")
 
 
 def test_cold_and_warm_runs_are_byte_identical(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     cfg = SurveyConfig(primes=(2, 3), levels=(11, 13), k_max=10)
     with CharpolyCache(path) as store:
-        cold = render_csv(run_survey(cfg, store))
+        cold = render(run_survey(cfg, store), "csv")
     assert os.path.exists(path)
     with open(path) as fh:
         stored = fh.read()
     assert stored.strip()
     with CharpolyCache(path) as store:
-        warm = render_csv(run_survey(cfg, store))
+        warm = render(run_survey(cfg, store), "csv")
     assert cold == warm
     # warm run served from cache without rewriting different bytes
     with open(path) as fh:
@@ -194,7 +200,7 @@ def test_pool_is_no_larger_than_the_grid(monkeypatch):
     monkeypatch.setattr("heckeslopes.survey.ProcessPoolExecutor", InlinePool)
     result = run_survey(SurveyConfig(primes=(2,), levels=(11,), workers=64))
     assert sizes == [1]
-    assert render_csv(result) == "%s\n2,11,irregular,2,2,1/2,true,ok\n" % CSV_HEADER
+    assert render(result, "csv") == "%s\n2,11,irregular,2,2,1/2,true,ok\n" % CSV_HEADER
     run_survey(SurveyConfig(primes=(2, 3), levels=(11, 13, 15), k_max=4, workers=4))
     assert sizes == [1, 4]
 
@@ -257,8 +263,8 @@ def test_cli_regularity_csv(capsys):
     assert main(["regularity", "--p", "2", "--N", "11", "--format", "csv",
                  "--cache", ""]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "p,N,k,dim,slopes,zero_count,verdict"
-    assert lines[1] == "2,11,2,1,1,0,irregular, j=2"
+    assert lines[0] == "p,N,k,dim,slopes,zero_count,verdict,j"
+    assert lines[1] == "2,11,2,1,1,0,irregular,2"
 
 
 def test_cli_slopes_text_and_csv(capsys):
@@ -275,12 +281,81 @@ def test_cli_slopes_text_and_csv(capsys):
     assert lines[2].startswith("2,11,4,2,1/2;1/2,0,")
 
 
+def test_cli_slopes_and_regularity_golden(capsys):
+    assert main(["slopes", "--p", "2", "--N", "11", "--k-max", "4",
+                 "--format", "csv", "--cache", ""]) == 0
+    assert capsys.readouterr().out == (
+        "p,N,k,dim,tp_slopes,zero_count,up_slopes,new_multiplicity\n"
+        "2,11,2,1,1,0,1/2;1/2,0\n"
+        "2,11,4,2,1/2;1/2,0,1/2;1/2;1;1;1;5/2;5/2,3\n")
+    assert main(["slopes", "--p", "2", "--N", "11", "--k-max", "4",
+                 "--format", "jsonl", "--cache", ""]) == 0
+    assert capsys.readouterr().out == (
+        '{"p": 2, "N": 11, "k": 2, "dim": 1, "tp_slopes": ["1"], "zero_count": 0, '
+        '"up_slopes": ["1/2", "1/2"], "new_multiplicity": 0}\n'
+        '{"p": 2, "N": 11, "k": 4, "dim": 2, "tp_slopes": ["1/2", "1/2"], '
+        '"zero_count": 0, "up_slopes": ["1/2", "1/2", "1", "1", "1", "5/2", "5/2"], '
+        '"new_multiplicity": 3}\n')
+    assert main(["regularity", "--p", "2", "--N", "11", "--cache", ""]) == 0
+    assert capsys.readouterr().out == (
+        "T_2 slopes on S_k(Gamma_0(11)), weights [2, 3, 4]\n"
+        "  k=2  dim=1   slopes={1 x1} zero_count=0\n"
+        "  k=3  dim=0   slopes={} zero_count=0 (vacuous)\n"
+        "  k=4  dim=2   slopes={1/2 x2} zero_count=0\n"
+        "verdict: irregular, j=2\n")
+
+
+def test_cli_regularity_jsonl_rows_share_one_shape(capsys):
+    assert main(["regularity", "--p", "2", "--N", "11", "--format", "jsonl",
+                 "--cache", ""]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["k"] for row in rows] == [2, 3, 4]
+    assert all(list(row) == ["p", "N", "k", "dim", "slopes", "zero_count", "verdict", "j"]
+               and row["verdict"] == "irregular" and row["j"] == 2 for row in rows)
+    assert main(["regularity", "--p", "3", "--N", "11", "--format", "jsonl",
+                 "--cache", ""]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert all(row["verdict"] == "regular" and row["j"] is None for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["regularity", "--p", "2", "--N", "11"],
+    ["regularity", "--p", "3", "--N", "11"],
+    ["slopes", "--p", "2", "--N", "11", "--k-max", "6"],
+    ["survey", "--p", "2,3", "--N", "11,13", "--k-max", "6"],
+])
+def test_cli_csv_rows_have_the_header_width(argv, capsys):
+    main(argv + ["--format", "csv", "--cache", ""])
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert len(rows) > 1
+    assert [len(row) for row in rows] == [len(rows[0])] * len(rows)
+
+
 def test_cli_witness_text(capsys):
     assert main(["witness", "--p", "2", "--N", "11", "--cache", ""]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1].split() == \
         ["2", "11", "irregular", "2", "2", "1/2", "true", "ok"]
     assert "minimal witness weight vs {j, j+(p-1)}: k = j" in out
+
+
+def test_cli_witness_searches_once(monkeypatch, capsys):
+    import heckeslopes.slopes
+    import heckeslopes.survey
+
+    calls = []
+    real = heckeslopes.slopes.find_fractional_witness
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(heckeslopes.slopes, "find_fractional_witness", counted)
+    monkeypatch.setattr(heckeslopes.survey, "find_fractional_witness", counted)
+    assert main(["witness", "--p", "2", "--N", "11", "--cache", ""]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.endswith(
+        "minimal witness weight vs {j, j+(p-1)}: k = j\n")
 
 
 def test_cli_witness_inconclusive(capsys):
@@ -327,6 +402,43 @@ def test_cli_crosscheck_rejects_corrupt_cache(tmp_path, capsys):
     assert code == 2
     assert "FAIL corrupt cache record at line 1" in out
     assert "crosscheck: FAIL" in out
+
+
+def _corrupt_cache(path, capsys):
+    assert main(["survey", "--p", "2", "--N", "11", "--cache", path]) == 0
+    capsys.readouterr()
+    with open(path, "ab") as fh:
+        fh.write(b"garbage\n")
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_cli_crosscheck_corrupt_cache_fails_on_an_empty_grid(tmp_path, capsys):
+    path = str(tmp_path / "cache.jsonl")
+    damaged = _corrupt_cache(path, capsys)
+    code = main(["crosscheck", "--p", "2", "--N", "2", "--k-max", "6", "--cache", path])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "FAIL corrupt cache record at line" in out and "PASS" not in out
+    with open(path, "rb") as fh:
+        assert fh.read() == damaged
+
+
+def test_cli_crosscheck_leaves_a_rejected_cache_untouched(tmp_path, capsys):
+    path = str(tmp_path / "cache.jsonl")
+    damaged = _corrupt_cache(path, capsys)
+    code = main(["crosscheck", "--p", "2", "--N", "11,13", "--k-max", "4",
+                 "--cache", path])
+    assert code == 2
+    assert "reproduce: inspect %s" % path in capsys.readouterr().out
+    with open(path, "rb") as fh:
+        assert fh.read() == damaged
+    # without a reject, crosscheck still writes what it computed
+    clean = str(tmp_path / "clean.jsonl")
+    assert main(["crosscheck", "--p", "2", "--N", "13", "--k-max", "4",
+                 "--cache", clean]) == 0
+    assert "crosscheck: PASS" in capsys.readouterr().out
+    assert CharpolyCache(clean).records
 
 
 def test_cli_survey_self_heals_corrupt_cache(tmp_path, capsys):

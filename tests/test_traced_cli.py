@@ -13,7 +13,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ARGS = ["witness", "--p", "2", "--N", "11", "--cache", ""]
+# slopes reads each T_p polynomial twice (tp_slopes, then up_assembly), so
+# even an in-memory store sees both misses and hits.
+ARGS = ["slopes", "--p", "2", "--N", "11", "--k-max", "4", "--cache", ""]
 
 
 def _run(argv):
