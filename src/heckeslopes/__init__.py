@@ -11,18 +11,16 @@ and 1.
 """
 
 from .cache import CacheRecord, CharpolyCache, cache_roundtrip, operator_label
-from .dimensions import (DimensionProfile, dim_cuspforms, dim_new_at_p,
-                         dimension_profile, genus)
+from .dimensions import dim_cuspforms, dim_new_at_p, genus
 from .errors import ConsistencyError, TraceBudgetExceeded
 from .exact import (INFINITY, IntPolynomial, NewtonPolygon, SlopeMultiset,
                     inverse_charpoly, newton_slopes, valuation)
 from .modsym import charpoly_cuspidal, hecke_on_cuspidal, plus_quotient
 from .slopes import (HeckeContext, P2Report, RegularityVerdict, UpSlopeAssembly,
-                     Witness, WitnessReport, classicality_filter,
-                     default_witness_bound, find_fractional_witness, is_regular,
-                     minimal_witness_report, p2_refinement_check,
+                     Witness, classicality_filter, default_witness_bound,
+                     find_fractional_witness, is_regular, p2_refinement_check,
                      refinement_pair, regularity_weight_range, tp_slopes,
-                     up_assembly, up_slopes_direct, weight_sequence)
+                     up_assembly, up_slopes_direct, weight_sequence, witness_label)
 from .survey import (COLUMNS, CSV_HEADER, ReportRow, SurveyConfig, SurveyResult,
                      compute_pair, render_report, run_survey)
 from .traceforms import (ClassNumberTable, charpoly_from_traces, default_table,
@@ -32,16 +30,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CacheRecord", "CharpolyCache", "cache_roundtrip", "operator_label",
-    "DimensionProfile", "dim_cuspforms", "dim_new_at_p", "dimension_profile", "genus",
+    "dim_cuspforms", "dim_new_at_p", "genus",
     "ConsistencyError", "TraceBudgetExceeded",
     "INFINITY", "IntPolynomial", "NewtonPolygon", "SlopeMultiset",
     "inverse_charpoly", "newton_slopes", "valuation",
     "charpoly_cuspidal", "hecke_on_cuspidal", "plus_quotient",
     "HeckeContext", "P2Report", "RegularityVerdict", "UpSlopeAssembly",
-    "Witness", "WitnessReport", "classicality_filter", "default_witness_bound",
-    "find_fractional_witness", "is_regular", "minimal_witness_report",
-    "p2_refinement_check", "refinement_pair", "regularity_weight_range",
-    "tp_slopes", "up_assembly", "up_slopes_direct", "weight_sequence",
+    "Witness", "classicality_filter", "default_witness_bound",
+    "find_fractional_witness", "is_regular", "p2_refinement_check",
+    "refinement_pair", "regularity_weight_range", "tp_slopes", "up_assembly",
+    "up_slopes_direct", "weight_sequence", "witness_label",
     "COLUMNS", "CSV_HEADER", "ReportRow", "SurveyConfig", "SurveyResult",
     "compute_pair", "render_report", "run_survey",
     "ClassNumberTable", "charpoly_from_traces", "default_table",

@@ -69,6 +69,17 @@ def _parse_int_set(text):
     return tuple(sorted(out))
 
 
+def search_bound(text):
+    """A witness search bound for --k-max: 0 (the default bound) or more.
+
+    A negative bound would search nothing and report "inconclusive".
+    """
+    k_max = int(text)
+    if k_max < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % k_max)
+    return k_max
+
+
 def _open_store(args):
     """The command's one charpoly store, from --cache, $HECKESLOPES_CACHE and --engine."""
     if args.cache is not None:
@@ -258,7 +269,7 @@ def build_parser():
     sp = sub.add_parser("witness", help="search for a U_p slope strictly in (0,1)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=0,
+    sp.add_argument("--k-max", dest="k_max", type=search_bound, default=0,
                     help="even search bound (default: max(50, j+2(p-1)))")
     _add_common(sp)
     sp.set_defaults(func=cmd_witness)
@@ -266,7 +277,7 @@ def build_parser():
     sp = sub.add_parser("survey", help="regularity/witness report over a (p, N) grid")
     sp.add_argument("--p", required=True, help="primes, e.g. 2,3,5")
     sp.add_argument("--N", required=True, help="levels, e.g. 1-30 or 11,13")
-    sp.add_argument("--k-max", dest="k_max", type=int, default=0)
+    sp.add_argument("--k-max", dest="k_max", type=search_bound, default=0)
     sp.add_argument("--workers", type=int, default=1)
     _add_common(sp, fmt_default="csv")
     sp.set_defaults(func=cmd_survey)

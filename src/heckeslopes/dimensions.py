@@ -5,14 +5,14 @@ as hard consistency checks for the modular symbols engine and as the
 bookkeeping behind old/new decompositions at level N*p.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
+from .errors import ConsistencyError
 from .exact import divisors, euler_phi, factorize, kronecker
 
 __all__ = [
     "psi_index", "nu2", "nu3", "nu_infinity", "genus",
-    "dim_cuspforms", "dim_new_at_p", "DimensionProfile", "dimension_profile",
+    "dim_cuspforms", "dim_new_at_p",
 ]
 
 
@@ -79,33 +79,12 @@ def dim_new_at_p(k, N, p):
     """Dimension of the p-new subspace of S_k(Gamma_0(N*p)) for p not dividing N.
 
     Degeneracy maps embed two copies of S_k(Gamma_0(N)); what is left is new
-    at p.  A negative value means inconsistent inputs and raises.
+    at p.  A negative value cannot happen and raises ConsistencyError.
     """
     if N % p == 0:
         raise ValueError("p must not divide the base level")
-    d = dim_cuspforms(k, N * p) - 2 * dim_cuspforms(k, N)
-    if d < 0:
-        raise ArithmeticError(f"negative p-new dimension at (k={k}, N={N}, p={p})")
-    return d
-
-
-@dataclass(frozen=True)
-class DimensionProfile:
-    """Old/new bookkeeping for S_k at level N*p."""
-    k: int
-    N: int
-    p: int
-    dim_base: int
-    dim_full: int
-    dim_new: int
-
-    @property
-    def dim_old(self):
-        return 2 * self.dim_base
-
-
-def dimension_profile(k, N, p):
-    base = dim_cuspforms(k, N)
-    full = dim_cuspforms(k, N * p)
-    new = dim_new_at_p(k, N, p)
-    return DimensionProfile(k=k, N=N, p=p, dim_base=base, dim_full=full, dim_new=new)
+    full, base = dim_cuspforms(k, N * p), dim_cuspforms(k, N)
+    if full < 2 * base:
+        raise ConsistencyError(
+            f"negative p-new dimension at (k={k}, N={N}, p={p}): {full} - 2*{base}")
+    return full - 2 * base

@@ -31,7 +31,7 @@ from math import gcd, lcm
 
 from .dimensions import dim_cuspforms
 from .errors import ConsistencyError
-from .exact import IntPolynomial, inverse_charpoly, is_prime
+from .exact import inverse_charpoly, is_prime
 from .linalg import SparseRREF, SpanSolver, kernel_basis
 
 __all__ = [
@@ -426,7 +426,4 @@ def charpoly_cuspidal(k, M, p):
     Raw degree always equals dim S_k, so trailing zero coefficients record
     zero eigenvalues.
     """
-    A = [list(row) for row in hecke_on_cuspidal(k, M, p)]
-    if not A:
-        return IntPolynomial([1])
-    return inverse_charpoly(A)
+    return inverse_charpoly(plus_quotient(k, M).hecke_matrix(p))

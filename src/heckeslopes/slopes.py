@@ -5,12 +5,16 @@ eigenvalues are never materialized as algebraic numbers: a refinement
 pair (the two roots of X^2 - a_p X + p^(k-1)) is read off the Newton
 polygon through (0,0), (1, v_p(a_p)), (2, k-1), which depends on the
 slope v_p(a_p) alone.
+
+The witness search here runs to the bound it is given.  Choosing that
+bound and comparing the witness with {j, j + (p-1)} is survey.compute_pair's
+job, the one route from a (p, N) pair to a report row.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimensions import dim_cuspforms
+from .dimensions import dim_cuspforms, dim_new_at_p
 from .errors import ConsistencyError
 from .exact import INFINITY, SlopeMultiset, is_prime, newton_slopes
 from .modsym import charpoly_cuspidal
@@ -104,12 +108,12 @@ class RegularityVerdict:
     j: int | None  # least violating weight; present iff not regular
 
 
-def _row_violates(p, row):
-    # A zero eigenvalue is maximally non-ordinary, so it always violates.
-    if row.zero_count:
-        return True
-    allowed = {0, 1} if (p == 2 and row.k == 4) else {0}
-    return any(Fraction(s) not in allowed for s, _ in row.slopes)
+def _violates(p, k, s):
+    """Whether a nonzero eigenvalue's T_p slope s breaks regularity in weight k.
+
+    Only slope 0 is allowed, and slope 1 too at p = 2, k = 4.
+    """
+    return Fraction(s) not in ({0, 1} if (p == 2 and k == 4) else {0})
 
 
 def is_regular(p, N, store=None):
@@ -129,9 +133,9 @@ def is_regular(p, N, store=None):
             table.append(RegularityRow(k, SlopeMultiset(), 0, 0))
             continue
         slopes, zero_count = tp_slopes(HeckeContext(p, N, k), store)
-        row = RegularityRow(k, slopes, dim_cuspforms(k, N), zero_count)
-        table.append(row)
-        if j is None and _row_violates(p, row):
+        table.append(RegularityRow(k, slopes, dim_cuspforms(k, N), zero_count))
+        # A zero eigenvalue is maximally non-ordinary, so it always violates.
+        if j is None and (zero_count or any(_violates(p, k, s) for s, _ in slopes)):
             j = k
     return RegularityVerdict(p, N, j is None, tuple(table), j)
 
@@ -165,20 +169,13 @@ def up_assembly(ctx, store=None):
     """Predicted U_p slopes on S_k(Gamma_0(Np)) from T_p data at level N.
 
     Each level-N eigenvalue contributes its refinement pair; the p-new
-    part contributes dim S_k(Np) - 2 dim S_k(N) copies of (k-2)/2.  A
-    negative new multiplicity cannot happen for p not dividing N and is
-    reported as a consistency failure.
+    part contributes dim_new_at_p copies of (k-2)/2.
     """
     slopes, zero_count = tp_slopes(ctx, store)
     pairs = [(v, refinement_pair(v, ctx.k)) for v in slopes.as_list()]
     pairs.extend((INFINITY, refinement_pair(INFINITY, ctx.k)) for _ in range(zero_count))
-    dim_tame = dim_cuspforms(ctx.k, ctx.N)
+    new_mult = dim_new_at_p(ctx.k, ctx.N, ctx.p)
     dim_full = dim_cuspforms(ctx.k, ctx.N * ctx.p)
-    new_mult = dim_full - 2 * dim_tame
-    if new_mult < 0:
-        raise ConsistencyError(
-            "negative p-new dimension at (k=%d, N=%d, p=%d): %d - 2*%d"
-            % (ctx.k, ctx.N, ctx.p, dim_full, dim_tame))
     new_slope = Fraction(ctx.k - 2, 2)
     combined = SlopeMultiset(((new_slope, new_mult),))
     for _, pair in pairs:
@@ -221,8 +218,8 @@ def default_witness_bound(p, j):
     return max(50, (j or 0) + 2 * (p - 1))
 
 
-def find_fractional_witness(p, N, k_max=None, store=None):
-    """Scan even weights for a U_p slope strictly between 0 and 1 at level Np.
+def find_fractional_witness(p, N, k_max, store=None):
+    """Scan even weights 2..k_max for a U_p slope strictly between 0 and 1 at level Np.
 
     Weight 2 is examined directly at level Np; for k > 2 the slopes of
     U_p in (0,1) agree with those of T_p at level N, so the tame-level
@@ -230,9 +227,6 @@ def find_fractional_witness(p, N, k_max=None, store=None):
     smallest slope) or None; the theorem behind the search gives no
     effective bound, so exhausting k_max is a legitimate "not found".
     """
-    if k_max is None:
-        verdict = is_regular(p, N, store)
-        k_max = default_witness_bound(p, verdict.j)
     for k in range(2, k_max + 1, 2):
         ctx = HeckeContext(p, N, k)
         if k == 2:
@@ -250,41 +244,12 @@ def find_fractional_witness(p, N, k_max=None, store=None):
     return None
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    p: int
-    N: int
-    j: int
-    witness: Witness | None
-    predicted: tuple  # (j, j + (p-1))
-    match: bool | None  # None when the search was inconclusive
-    label: str
-
-
-def minimal_witness_report(p, N, k_max=None, store=None):
-    """Compare the minimal witness weight against the heuristic {j, j + (p-1)}.
-
-    Only meaningful for an irregular pair; a regular input is rejected.
-    A witness weight outside the predicted set is an observation worth
-    reporting, never an error: the heuristic is numerical, not proved.
-    """
-    verdict = is_regular(p, N, store)
-    if verdict.regular:
-        raise ValueError("(%d, %d) is regular; no witness weight to compare" % (p, N))
-    j = verdict.j
-    if k_max is None:
-        k_max = default_witness_bound(p, j)
-    witness = find_fractional_witness(p, N, k_max, store)
-    predicted = (j, j + p - 1)
-    if witness is None:
-        return WitnessReport(p, N, j, None, predicted, None,
-                             "inconclusive: no fractional slope up to k_max=%d" % k_max)
-    return WitnessReport(p, N, j, witness, predicted, witness.k in predicted,
-                         witness_label(p, j, witness.k))
-
-
 def witness_label(p, j, k):
-    """Where the minimal witness weight k falls against {j, j + (p-1)}."""
+    """Where the minimal witness weight k falls against {j, j + (p-1)}.
+
+    A k outside that set is an observation worth reporting, never an
+    error: the heuristic is numerical, not proved.
+    """
     if k == j:
         return "k = j"
     if k == j + p - 1:
@@ -346,7 +311,7 @@ def p2_refinement_check(N):
         for s, mult in row.slopes:
             if Fraction(s).denominator != 1:
                 fractional.append((row.k, s, mult))
-            elif _row_violates(2, RegularityRow(row.k, SlopeMultiset(((s, 1),)), 1, 0)):
+            elif _violates(2, row.k, s):
                 refinements.extend(
                     P2Refinement(row.k, s, refinement_pair(s, row.k)) for _ in range(mult))
         refinements.extend(

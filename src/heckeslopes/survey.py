@@ -1,5 +1,11 @@
 """Regularity/witness surveys over (p, N) grids, and the one report renderer.
 
+compute_pair is the one route from a (p, N) pair to a report row: the
+regularity verdict, the least violating weight j, the witness search
+bound (k_max, or default_witness_bound when k_max is 0), the witness and
+its match against {j, j + (p-1)}.  The witness and survey commands and
+every library caller go through it.
+
 Rows always come out in (p, N) order regardless of how they were
 computed, and rendering never consults clocks, locales, or paths, so a
 survey report is byte-identical across runs.  The caller owns the
@@ -59,11 +65,12 @@ class SurveyResult:
 
 
 def compute_pair(p, N, k_max=0, store=None):
-    """One survey row: verdict, then witness search if irregular.
+    """One survey row: verdict, then witness search up to k_max if irregular.
 
-    Witness fields stay empty for a regular pair and for an irregular
-    pair whose bounded search found nothing; the two cases differ in the
-    status field.  store=None computes every polynomial afresh.
+    k_max = 0 searches to default_witness_bound(p, j).  Witness fields
+    stay empty for a regular pair and for an irregular pair whose
+    bounded search found nothing; the two cases differ in the status
+    field.  store=None computes every polynomial afresh.
     """
     verdict = is_regular(p, N, store)
     if verdict.regular:
@@ -78,16 +85,20 @@ def compute_pair(p, N, k_max=0, store=None):
                      prediction_match=witness.k in (j, j + p - 1))
 
 
+def _run_pair(p, N, k_max, store):
+    """compute_pair's row, or a (p, N, kind, message) error tuple if it raised."""
+    try:
+        return compute_pair(p, N, k_max, store)
+    except Exception as exc:  # quarantined into the report's error section
+        log.warning("pair (p=%d, N=%d) failed: %s", p, N, exc)
+        return (p, N, type(exc).__name__, str(exc))
+
+
 def _survey_worker(args):
     p, N, k_max, engine, seed = args
     local = CharpolyCache(engine=engine)
     local.merge(seed)
-    try:
-        row = compute_pair(p, N, k_max, local)
-        return ("row", row, tuple(local.records.values()))
-    except Exception as exc:  # quarantined by the caller
-        return ("error", (p, N, type(exc).__name__, str(exc)),
-                tuple(local.records.values()))
+    return _run_pair(p, N, k_max, local), tuple(local.records.values())
 
 
 def run_survey(config, store=None):
@@ -111,30 +122,23 @@ def run_survey(config, store=None):
                 skipped.append((p, N))
             else:
                 pairs.append((p, N))
-    result = SurveyResult([], [], skipped)
     if config.workers > 1 and pairs:
         jobs = []
         for p, N in pairs:
             seed = tuple(rec for key, rec in store.records.items()
                          if key[0] == p and key[1] in (N, N * p))
             jobs.append((p, N, config.k_max, store.engine, seed))
+        outcomes = []
         with ProcessPoolExecutor(max_workers=min(config.workers, len(pairs))) as pool:
-            for kind, payload, records in pool.map(_survey_worker, jobs):
+            for outcome, records in pool.map(_survey_worker, jobs):
                 store.merge(records)
-                if kind == "row":
-                    result.rows.append(payload)
-                else:
-                    result.errors.append(payload)
+                outcomes.append(outcome)
     else:
-        for p, N in pairs:
-            try:
-                result.rows.append(compute_pair(p, N, config.k_max, store))
-            except Exception as exc:
-                log.warning("pair (p=%d, N=%d) failed: %s", p, N, exc)
-                result.errors.append((p, N, type(exc).__name__, str(exc)))
-    result.rows.sort(key=lambda r: (r.p, r.N))
-    result.errors.sort(key=lambda e: (e[0], e[1]))
-    return result
+        outcomes = [_run_pair(p, N, config.k_max, store) for p, N in pairs]
+    # pairs are in (p, N) order and pool.map keeps it
+    rows = [o for o in outcomes if isinstance(o, ReportRow)]
+    errors = [o for o in outcomes if not isinstance(o, ReportRow)]
+    return SurveyResult(rows, errors, skipped)
 
 
 # ----------------------------------------------------------------------

@@ -223,9 +223,7 @@ def trace_tn(k, N, n, table=None):
                          "not supported by the trace route")
     table.ensure(4 * n)
 
-    psi = N
-    for q in level_fact:
-        psi = psi // q * (q + 1)
+    psi = psi_index(N)
 
     # integer sums: total holds 24 times the trace, elliptic 12 times the
     # elliptic sum, so -(1/2) elliptic enters total as -elliptic

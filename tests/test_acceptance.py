@@ -19,13 +19,14 @@ from heckeslopes.slopes import (
     HeckeContext,
     find_fractional_witness,
     is_regular,
-    minimal_witness_report,
     p2_refinement_check,
     tp_slopes,
     up_assembly,
     up_slopes_direct,
+    witness_label,
 )
-from heckeslopes.survey import COLUMNS, SurveyConfig, render_report, run_survey
+from heckeslopes.survey import (COLUMNS, SurveyConfig, compute_pair, render_report,
+                                run_survey)
 from heckeslopes.traceforms import (
     charpoly_from_traces,
     trace_feasible,
@@ -104,11 +105,12 @@ def test_criterion_4_end_to_end_level_11():
     direct = up_slopes_direct(ctx)
     expected = SlopeMultiset(((Fraction(1, 2), 2),))
     assert asm.combined == direct == expected
-    report = minimal_witness_report(2, 11, 10)
-    assert report.label == "k = j" and report.match is True
+    row = compute_pair(2, 11, 10)
+    label = witness_label(row.p, row.j, row.witness_k)
+    assert label == "k = j" and row.prediction_match is True
     _verdict(4, True,
              "irregular j=2, witness (k=2, 1/2), assembly = direct = {1/2 x2}, "
-             "'%s'" % report.label, t0, 30)
+             "'%s'" % label, t0, 30)
 
 
 def test_criterion_5_end_to_end_level_1_p59():
@@ -123,12 +125,14 @@ def test_criterion_5_end_to_end_level_1_p59():
     witness = find_fractional_witness(59, 1, 74, store)
     assert witness is not None
     assert 0 < witness.slope < 1
-    report = minimal_witness_report(59, 1, 74, store)
+    row = compute_pair(59, 1, 74, store)
+    assert (row.witness_k, row.witness_slope) == (witness.k, witness.slope)
+    label = witness_label(row.p, row.j, row.witness_k)
     note = "witness (k=%d, %s)" % (witness.k, witness.slope)
     if witness.k != 74:
         # a smaller witness would contradict nothing, only the heuristic
-        note += " [differs from the expected k=74: %s]" % report.label
-    _verdict(5, True, "irregular j=16, %s, '%s'" % (note, report.label),
+        note += " [differs from the expected k=74: %s]" % label
+    _verdict(5, True, "irregular j=16, %s, '%s'" % (note, label),
              t0, 900)
 
 

@@ -1,8 +1,7 @@
 import pytest
 
-from heckeslopes.dimensions import (dim_cuspforms, dim_new_at_p,
-                                    dimension_profile, genus, nu2, nu3,
-                                    nu_infinity, psi_index)
+from heckeslopes.dimensions import (dim_cuspforms, dim_new_at_p, genus, nu2,
+                                    nu3, nu_infinity, psi_index)
 
 # classical genus table for X_0(N)
 GENUS = {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0, 10: 0,
@@ -64,9 +63,9 @@ def test_new_dimension_nonnegative():
 
 
 def test_dimension_profile():
-    prof = dimension_profile(2, 11, 3)
-    assert prof.dim_full == dim_cuspforms(2, 33) == 3
-    assert prof.dim_new == 1
-    assert prof.dim_old == 2
+    # S_2(Gamma_0(33)) = two old copies of S_2(Gamma_0(11)) plus one 3-new form
+    assert dim_cuspforms(2, 33) == 3
+    assert dim_new_at_p(2, 11, 3) == 1
+    assert 2 * dim_cuspforms(2, 11) == 2
     with pytest.raises(ValueError):
         dim_new_at_p(2, 10, 5)

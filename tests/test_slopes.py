@@ -19,7 +19,6 @@ from heckeslopes.slopes import (
     default_witness_bound,
     find_fractional_witness,
     is_regular,
-    minimal_witness_report,
     p2_refinement_check,
     refinement_pair,
     regularity_weight_range,
@@ -170,29 +169,10 @@ def test_find_fractional_witness_pins():
     assert find_fractional_witness(3, 11, 20) is None
 
 
-def test_minimal_witness_report_level_11():
-    r = minimal_witness_report(2, 11)
-    assert r.j == 2 and r.witness.k == 2
-    assert r.witness.slope == Fraction(1, 2)
-    assert r.match is True and r.label == "k = j"
-    assert r.predicted == (2, 3)
-
-
 def test_witness_label():
     assert witness_label(2, 2, 2) == "k = j"
     assert witness_label(59, 16, 74) == "k = j + (p-1)"
     assert witness_label(5, 4, 6) == "mismatch: minimal witness k=6 outside {4, 8}"
-
-
-def test_minimal_witness_report_rejects_regular():
-    with pytest.raises(ValueError):
-        minimal_witness_report(3, 11)
-
-
-def test_minimal_witness_report_inconclusive():
-    r = minimal_witness_report(2, 11, k_max=0)
-    assert r.witness is None and r.match is None
-    assert r.label.startswith("inconclusive")
 
 
 def test_weight_sequence():

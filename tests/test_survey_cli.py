@@ -17,6 +17,7 @@ import pytest
 from heckeslopes.cache import CharpolyCache
 from heckeslopes.cli import main
 from heckeslopes.errors import ConsistencyError
+from heckeslopes.slopes import default_witness_bound, is_regular, witness_label
 from heckeslopes.survey import (
     COLUMNS,
     CSV_HEADER,
@@ -49,6 +50,8 @@ def test_compute_pair_irregular():
     assert row == ReportRow(2, 11, "irregular", j=2, witness_k=2,
                             witness_slope=Fraction(1, 2),
                             prediction_match=True, status="ok")
+    assert witness_label(row.p, row.j, row.witness_k) == "k = j"
+    assert witness_label(row.p, row.j, 3) == "k = j + (p-1)"  # predicted {2, 3}
 
 
 def test_compute_pair_regular():
@@ -64,10 +67,17 @@ def test_compute_pair_inconclusive():
     assert row.verdict == "irregular" and row.j == 16
     assert row.status == "inconclusive"
     assert row.witness_k is None and row.witness_slope is None
+    assert row.prediction_match is None
     # (2,13) is irregular with fractional slopes (3/2 in weight 8) but no
     # slope inside (0,1) through weight 14
     row = compute_pair(2, 13, k_max=14)
     assert row.verdict == "irregular" and row.status == "inconclusive"
+
+
+def test_compute_pair_zero_means_the_default_bound():
+    for p, N in [(2, 11), (3, 7)]:  # irregular, regular
+        j = is_regular(p, N).j
+        assert compute_pair(p, N, 0) == compute_pair(p, N, default_witness_bound(p, j))
 
 
 def test_compute_pair_reads_and_fills_the_store():
@@ -232,6 +242,14 @@ def test_cli_survey_quarantine_exit(monkeypatch, capsys):
     assert "# error p=2 N=11 ConsistencyError: fabricated" in capsys.readouterr().out
 
 
+def test_cli_negative_new_dimension_exits_2(monkeypatch, capsys):
+    # up_assembly takes the p-new dimension from dim_new_at_p alone
+    monkeypatch.setattr("heckeslopes.dimensions.dim_cuspforms",
+                        lambda k, N: 1 if N == 11 else 0)
+    assert main(["slopes", "--p", "3", "--N", "11", "--k-max", "2", "--cache", ""]) == 2
+    assert "negative p-new dimension" in capsys.readouterr().err
+
+
 def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["survey", "--N", "11"])  # --p missing
@@ -240,6 +258,11 @@ def test_cli_usage_errors(capsys):
     assert main(["survey", "--p", "0,2", "--N", "11", "--cache", ""]) == 1
     assert main(["regularity", "--p", "4", "--N", "11", "--cache", ""]) == 1
     assert main(["survey", "--p", "2", "--N", "11", "--workers", "0", "--cache", ""]) == 1
+    # a negative bound searches nothing, which must not read as "inconclusive"
+    for command in ("witness", "survey"):
+        with pytest.raises(SystemExit) as ei:
+            main([command, "--p", "2", "--N", "11", "--k-max", "-4", "--cache", ""])
+        assert ei.value.code == 1, command
     with pytest.raises(SystemExit) as ei:
         main(["crosscheck", "--format", "csv"])  # crosscheck has one report format
     assert ei.value.code == 1
