@@ -28,6 +28,7 @@ from heckeslopes.slopes import (
     weight_sequence,
     witness_label,
 )
+from heckeslopes.survey import compute_pair
 
 
 def test_context_validation():
@@ -167,6 +168,35 @@ def test_find_fractional_witness_pins():
     assert w == Witness(2, Fraction(1, 2), "direct")
     # regular pair: nothing below the bound
     assert find_fractional_witness(3, 11, 20) is None
+
+
+def test_minimal_witness_report_level_11():
+    # the minimal witness of (2,11) through the one witness route
+    row = compute_pair(2, 11)
+    assert row.j == 2 and row.witness_k == 2
+    assert row.witness_slope == Fraction(1, 2)
+    assert row.prediction_match is True
+    assert witness_label(row.p, row.j, row.witness_k) == "k = j"
+    assert {row.j, row.j + row.p - 1} == {2, 3}
+
+
+def test_minimal_witness_report_rejects_regular():
+    # a regular pair is never given a witness, whatever the bound
+    assert is_regular(3, 11).regular
+    for k_max in (0, 20):
+        row = compute_pair(3, 11, k_max=k_max)
+        assert row.verdict == "regular" and row.status == "ok"
+        assert row.j is None and row.witness_k is None
+        assert row.witness_slope is None and row.prediction_match is None
+
+
+def test_minimal_witness_report_inconclusive():
+    # a bound below weight 2 searches no weight at all: inconclusive, not a miss
+    assert find_fractional_witness(2, 11, 1) is None
+    row = compute_pair(2, 11, k_max=1)
+    assert row.verdict == "irregular" and row.j == 2
+    assert row.witness_k is None and row.prediction_match is None
+    assert row.status.startswith("inconclusive")
 
 
 def test_witness_label():
