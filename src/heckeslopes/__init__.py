@@ -10,7 +10,7 @@ assembly, and bounded searches for fractional slopes strictly between 0
 and 1.
 """
 
-from .cache import CacheRecord, CharpolyCache, cache_roundtrip, operator_label
+from .cache import CacheRecord, CharpolyCache, operator_label
 from .dimensions import dim_cuspforms, dim_new_at_p, genus
 from .errors import ConsistencyError, TraceBudgetExceeded
 from .exact import (INFINITY, IntPolynomial, NewtonPolygon, SlopeMultiset,
@@ -29,7 +29,7 @@ from .traceforms import (ClassNumberTable, charpoly_from_traces, default_table,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CacheRecord", "CharpolyCache", "cache_roundtrip", "operator_label",
+    "CacheRecord", "CharpolyCache", "operator_label",
     "dim_cuspforms", "dim_new_at_p", "genus",
     "ConsistencyError", "TraceBudgetExceeded",
     "INFINITY", "IntPolynomial", "NewtonPolygon", "SlopeMultiset",

@@ -200,16 +200,3 @@ class CharpolyCache:
             os.unlink(tmp)
             raise
         self._stored = dict(self.records)
-
-
-def cache_roundtrip(record, path):
-    """Write record into the cache at path and read it back from disk.
-
-    Returns the reloaded record, or None when the stored line fails
-    verification (the caller is expected to recompute in that case).
-    """
-    cache = CharpolyCache(path)
-    cache.records[record.key] = record
-    cache.flush()
-    fresh = CharpolyCache(path)
-    return fresh.records.get(record.key)

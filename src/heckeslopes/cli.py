@@ -299,7 +299,7 @@ def main(argv=None):
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except ConsistencyError as exc:
+    except (ConsistencyError, ArithmeticError) as exc:  # a failed exactness check
         print("inconsistency: %s" % exc, file=sys.stderr)
         return EXIT_INCONSISTENT
     except (ValueError, TraceBudgetExceeded) as exc:  # bad input, or out of reach

@@ -17,8 +17,6 @@ import threading
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-import numpy as np
-
 from .dimensions import dim_cuspforms, psi_index
 from .errors import ConsistencyError, TraceBudgetExceeded
 from .exact import IntPolynomial, _vp, divisors, euler_phi, factorize, kronecker
@@ -32,19 +30,16 @@ __all__ = [
 # largest |t^2 - 4n| the bundled class number table will sieve; covers
 # 4 p B^2 (see trace_feasible) at every point of the acceptance grid, the
 # worst being (k, N, p) = (16, 14, 13) at 1.04e7.  The bases actually
-# chosen there stay below n = 18, so charpolys only ever build the small
-# table.
+# chosen there stay below n = 18, so charpolys only ever build small
+# tables.
 DISC_CAP_DEFAULT = 24_000_000
-
-# smallest table ever sieved; below the cap a rebuild at least doubles
-# the table, so a run of growing requests costs few sieves
-_SMALL_BUILD = 400_000
 
 
 class ClassNumberTable:
-    """Sieved table of 6*H(n) plus a smallest-prime-factor array.
+    """Sieved table of 6*H(n), a plain list of ints.
 
-    Both arrays build lazily; a request beyond `cap` raises
+    Builds lazily to the request; a later, larger request rebuilds it at
+    least twice as long, and a request beyond `cap` raises
     TraceBudgetExceeded instead of attempting a hopeless sieve.  Thread
     safe so parallel surveys can share one instance.
     """
@@ -53,7 +48,6 @@ class ClassNumberTable:
         self.cap = cap
         self.limit = -1
         self._h6 = None
-        self._spf = None
         self._lock = threading.Lock()
 
     def ensure(self, n):
@@ -65,10 +59,10 @@ class ClassNumberTable:
         with self._lock:
             if n <= self.limit:
                 return
-            self._build(min(self.cap, max(n, 2 * self.limit, _SMALL_BUILD)))
+            self._build(min(self.cap, max(n, 2 * self.limit)))
 
     def _build(self, L):
-        h6 = np.zeros(L + 1, dtype=np.int32)
+        h6 = [0] * (L + 1)
         a = 1
         while 3 * a * a <= L:
             fa = 4 * a
@@ -80,17 +74,10 @@ class ClassNumberTable:
                 # c > a terms: generic forms count for both signs of b
                 start = n0 + fa
                 if start <= L:
-                    h6[start::fa] += 6 if (b == 0 or b == a) else 12
+                    w = 6 if (b == 0 or b == a) else 12
+                    h6[start::fa] = [x + w for x in h6[start::fa]]
             a += 1
-        spf = np.zeros(L + 1, dtype=np.int32)
-        p = 2
-        while p * p <= L:
-            if spf[p] == 0:
-                view = spf[p * p::p]
-                view[view == 0] = p
-            p += 1
         self._h6 = h6
-        self._spf = spf
         self.limit = L
 
     def h6(self, n):
@@ -98,29 +85,16 @@ class ClassNumberTable:
         if n < 1:
             raise ValueError("h6 needs n >= 1; H(0) is -1/12")
         self.ensure(n)
-        return int(self._h6[n])
-
-    def factor(self, n):
-        self.ensure(n)
-        out = {}
-        spf = self._spf
-        while n > 1:
-            p = int(spf[n]) or n
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-        return out
+        return self._h6[n]
 
     def h6_primitive(self, n):
         """6 * (class number of primitive forms of discriminant -n)."""
         self.ensure(n)
-        square_primes = [p for p, e in self.factor(n).items() if e >= 2]
+        square_primes = [p for p, e in factorize(n).items() if e >= 2]
         terms = [(1, 1)]
         for p in square_primes:
             terms += [(f2 * p * p, -s) for f2, s in terms]
-        return sum(s * int(self._h6[n // f2]) for f2, s in terms)
+        return sum(s * self._h6[n // f2] for f2, s in terms)
 
 
 _DEFAULT_TABLE = ClassNumberTable()
@@ -162,12 +136,11 @@ def local_embedding_count(q, sigma, c, nu):
     raise ValueError(f"level valuation {nu} > 4 not supported")
 
 
-def _fundamental_split(disc_abs, table):
+def _fundamental_split(disc_abs):
     """|Delta| -> (|D0|, f0) with Delta = D0 * f0^2, D0 fundamental."""
-    fact = table.factor(disc_abs)
     f = 1
     m = 1
-    for p, e in fact.items():
+    for p, e in factorize(disc_abs).items():
         f *= p ** (e // 2)
         if e % 2:
             m *= p
@@ -235,7 +208,7 @@ def trace_tn(k, N, n, table=None):
         if t * t == 4 * n:
             loc = -psi  # 12 * (-psi / 12)
         else:
-            d0, f0 = _fundamental_split(4 * n - t * t, table)
+            d0, f0 = _fundamental_split(4 * n - t * t)
             sig = {q: kronecker(-d0, q) for q in level_fact}
             acc = 0
             for g in divisors(f0):

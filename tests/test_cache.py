@@ -13,7 +13,6 @@ from heckeslopes.cache import (
     SCHEMA_VERSION,
     CacheRecord,
     CharpolyCache,
-    cache_roundtrip,
     operator_label,
 )
 from heckeslopes.exact import IntPolynomial
@@ -23,6 +22,18 @@ def sample_record():
     # coefficients big enough to overflow any fixed-width integer
     return CacheRecord(2, 11, 24, "T", (1, 1080, 2 ** 94 + 7, -(10 ** 40)),
                        "modsym")
+
+
+def cache_roundtrip(record, path):
+    """Write record into the cache at path and read it back from disk.
+
+    Returns the reloaded record, or None when the stored line fails
+    verification.
+    """
+    cache = CharpolyCache(path)
+    cache.records[record.key] = record
+    cache.flush()
+    return CharpolyCache(path).records.get(record.key)
 
 
 def test_operator_label():

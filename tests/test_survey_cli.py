@@ -9,8 +9,11 @@ runs and cache states.
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import astuple
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +243,17 @@ def test_cli_survey_quarantine_exit(monkeypatch, capsys):
     code = main(["survey", "--p", "2", "--N", "11", "--cache", ""])
     assert code == 2
     assert "# error p=2 N=11 ConsistencyError: fabricated" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["witness", "slopes"])
+def test_cli_arithmetic_error_exits_2(command, monkeypatch, capsys):
+    # a non-integral coefficient is an inconsistency, as survey counts it
+    def boom(k, N, p):
+        raise ArithmeticError("fabricated")
+
+    monkeypatch.setattr("heckeslopes.slopes.charpoly_cuspidal", boom)
+    assert main([command, "--p", "2", "--N", "11", "--cache", ""]) == 2
+    assert "inconsistency: fabricated" in capsys.readouterr().err
 
 
 def test_cli_negative_new_dimension_exits_2(monkeypatch, capsys):
@@ -491,3 +505,14 @@ def test_cli_cache_env_var(tmp_path, monkeypatch, capsys):
     with open(env_path) as fh:
         assert '"p":3' not in fh.read()
     capsys.readouterr()
+
+
+def test_cli_imports_no_numpy():
+    # the package is stdlib-only; a fresh interpreter shows what it loads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, heckeslopes.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False\n"

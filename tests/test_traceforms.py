@@ -80,6 +80,12 @@ def test_sieved_table_matches_direct_count():
 
 def test_table_grows_to_the_request():
     table = ClassNumberTable(cap=2_000_000)
+    table.ensure(500)
+    assert table.limit == 500      # the first build fits the request
+    table.ensure(600)
+    assert table.limit >= 1000     # a rebuild at least doubles the table
+    for n in range(490, 621):      # across the old boundary
+        assert table.h6(n) == 6 * hurwitz_class_number(n), n
     table.ensure(150_000)
     assert 150_000 <= table.limit < table.cap
 
