@@ -1,11 +1,13 @@
-"""Exact linear algebra over Fraction: one elimination routine and a
-characteristic polynomial.
+"""Exact linear algebra: one elimination routine and a characteristic
+polynomial.
 
-SparseRREF is the only Gaussian elimination.  The modular-symbols
-presentation uses it directly; kernel_basis reads kernel bases off its
-reduced form, and SpanSolver solves in the span of a fixed family by
-eliminating the family augmented with an identity block.  charpoly_monic
-is a separate algorithm: a similarity reduction to Hessenberg form.
+SparseRREF is the only Gaussian elimination.  It is fraction-free
+(Bareiss, Math. Comp. 22, 1968): it stores primitive integer rows, which
+the modular-symbols presentation reads directly; kernel_basis reads
+kernel bases off its reduced form, and SpanSolver solves in the span of
+a fixed family by eliminating the family augmented with an identity
+block.  charpoly_monic is a separate algorithm over Fraction: a
+similarity reduction to Hessenberg form.
 
 Everything is deterministic: the pivot of a new row is its smallest
 column and every pivot row is fully reduced, so the echelon form is the
@@ -14,12 +16,9 @@ order.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["kernel_basis", "charpoly_monic", "SparseRREF", "SpanSolver"]
-
-
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def kernel_basis(rows, ncols):
@@ -35,13 +34,12 @@ def kernel_basis(rows, ncols):
     pivots = ech.pivot_rows
     basis = []
     for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pc, prow in pivots.items():
-            v[pc] = -prow.get(fc, Fraction(0))
-        basis.append(tuple(v))
+        if fc not in pivots:
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for pc, prow in pivots.items():
+                v[pc] = -prow.get(fc, Fraction(0))
+            basis.append(tuple(v))
     return basis
 
 
@@ -55,7 +53,7 @@ def charpoly_monic(M):
     n = len(M)
     if n == 0:
         return [Fraction(1)]
-    H = _frac_rows(M)
+    H = [[Fraction(x) for x in row] for row in M]
     for c in range(n - 2):
         piv = None
         for r in range(c + 1, n):
@@ -106,66 +104,95 @@ def charpoly_monic(M):
     return polys[n]
 
 
+def _sub_multiple(row, f, other):
+    """row -= f * other, in place, dropping the entries that cancel."""
+    for k, v in other.items():
+        nv = row.get(k, 0) - f * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+
+
+def _make_primitive(row):
+    """Divide an integer row in place by its content, positive at its first column."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
 class SparseRREF:
     """Incremental reduced echelon form for sparse integer/rational rows.
 
-    Rows are dicts {column: coefficient}.  Each new row is reduced against
-    the current pivots, then (if nonzero) normalized at its smallest
-    column and used to clear that column everywhere.
+    Rows are dicts {column: coefficient}.  rows holds one integer row per
+    pivot column: primitive (entry gcd 1), positive at the pivot, which is
+    its smallest column, and zero at every other pivot column.  The
+    reduced echelon row is that row divided by its pivot entry.
     """
 
     def __init__(self):
-        self.pivot_rows = {}  # pivot column -> row dict (pivot coeff 1)
+        self.rows = {}  # pivot column -> primitive integer row
 
     def add_row(self, row):
         """Reduce row and absorb it; returns the new pivot column or None.
 
-        Invariant: every stored pivot row has coefficient 1 at its pivot
-        column, which is its smallest column, and support otherwise only
-        on free columns.
+        The reduced row is made primitive, with pivot entry a > 0; each
+        stored row with entry f at the new pivot becomes a * prow - f * row
+        divided by its content.
         """
-        row = self.reduce_vector(row)
-        if not row:
+        vec, _ = self._reduce(row)
+        if not vec:
             return None
-        c = min(row)
-        inv = 1 / row[c]
-        row = {k: v * inv for k, v in row.items()}
-        for prow in self.pivot_rows.values():
+        _make_primitive(vec)
+        c = min(vec)
+        a = vec[c]
+        for prow in self.rows.values():
             f = prow.get(c)
             if f:
-                for k, v in row.items():
-                    nv = prow.get(k, Fraction(0)) - f * v
-                    if nv:
-                        prow[k] = nv
-                    else:
-                        prow.pop(k, None)
-        self.pivot_rows[c] = row
+                h = gcd(a, f)
+                if a != h:
+                    for k in prow:
+                        prow[k] *= a // h
+                _sub_multiple(prow, f // h, vec)
+                _make_primitive(prow)
+        self.rows[c] = vec
         return c
 
     @property
     def pivot_columns(self):
-        return sorted(self.pivot_rows)
+        return sorted(self.rows)
+
+    @property
+    def pivot_rows(self):
+        """The reduced echelon form: pivot column -> row of Fractions."""
+        return {c: {k: Fraction(v, row[c]) for k, v in row.items()}
+                for c, row in self.rows.items()}
+
+    def _reduce(self, vec):
+        """(w, den) with w integral and w / den the image of vec.
+
+        A pivot row is zero at every other pivot column, so vec scaled
+        once by the lcm of the pivot entries it meets reduces in integers.
+        """
+        den = lcm(*(v.denominator for v in vec.values()))
+        hits = sorted(c for c, v in vec.items() if v and c in self.rows)
+        scale = lcm(*(self.rows[c][c] for c in hits))
+        w = {c: v.numerator * (den // v.denominator) * scale for c, v in vec.items() if v}
+        for c in hits:
+            _sub_multiple(w, w[c] // self.rows[c][c], self.rows[c])
+        return w, den * scale
 
     def reduce_vector(self, vec):
         """Image of a sparse vector in the quotient by the row span.
 
         Eliminates pivot coordinates, leaving a vector supported on free
-        columns only.
+        columns only; its entries are Fractions.
         """
-        vec = {c: Fraction(v) for c, v in vec.items() if v}
-        # eliminating a pivot column only introduces free columns, so one
-        # sorted pass over the pivot columns initially present is complete
-        for c in sorted(set(vec) & set(self.pivot_rows)):
-            f = vec.pop(c)
-            for k, v in self.pivot_rows[c].items():
-                if k == c:
-                    continue
-                nv = vec.get(k, Fraction(0)) - f * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-        return vec
+        w, den = self._reduce(vec)
+        return {k: Fraction(v, den) for k, v in w.items()}
 
 
 class SpanSolver:

@@ -3,10 +3,12 @@
 The presentation is the classical one on Manin symbols (i, (c:d)) with
 0 <= i <= k-2 and (c:d) in P^1(Z/M), modulo the two-term and three-term
 relations and folded by the star involution [-1,0;0,1] (so one copy of
-each complex-conjugate pair survives).  The two-term and star relations
-are absorbed by a signed union-find before the three-term relations go
-through sparse exact row reduction; this keeps the reduction at a quarter
-of the naive column count.
+each complex-conjugate pair survives).  P^1(Z/M) is tabulated by one
+sorted scan that enters each unit orbit at its least pair.  The two-term
+and star relations are absorbed by a signed union-find before the
+three-term relations go through fraction-free sparse row reduction (a
+quarter of the naive column count), whose primitive integer rows give
+the projections over one denominator, the lcm of the pivot entries.
 
 The cuspidal subspace is the kernel of the boundary map to star-folded
 cusp classes, and its dimension is asserted against the dimension formula
@@ -27,7 +29,8 @@ so (n + 1)^w would be too small).
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import repeat
+from math import comb, gcd, lcm
 
 from .dimensions import dim_cuspforms
 from .errors import ConsistencyError
@@ -53,50 +56,13 @@ def gcdex(a, b):
     return x0, y0, a
 
 
-def _lift_to_unit(n, d, a):
-    # lift a unit a mod d (d | n) to a unit mod n: CRT to 1 on the part of n
-    # coprime to d
-    if n == 1:
-        return 0
-    u, v = 1, n
-    g = gcd(v, d)
-    while g > 1:
-        u *= g
-        v //= g
-        g = gcd(v, g)
-    x, y, _ = gcdex(u, v)
-    return (u * x + a % n * y * v) % n
-
-
-def _p1_reduce(M, u, v):
-    """Canonical representative of (u:v) in P^1(Z/M), or None if not primitive."""
-    u %= M
-    v %= M
-    if u == 0:
-        return (0, 1) if gcd(v, M) == 1 else None
-    _, s, g = gcdex(M, u)
-    if gcd(g, v) > 1:
-        return None
-    # now u ~ g with multiplier s, a unit mod M/g
-    s = _lift_to_unit(M, M // g, s)
-    v = s * v % M
-    if g == 1:
-        return (1, v)
-    # the stabilizer of g scales v by units t with t = 1 mod M/g
-    vmin = v
-    for t in range(1, M, M // g):
-        if gcd(t, M) == 1:
-            w = v * t % M
-            if w < vmin:
-                vmin = w
-    return (g, vmin)
-
-
 class P1List:
     """P^1(Z/M) with canonical representatives and a full lookup table.
 
-    index(c, d) returns the point index, or None when (c, d) is not
-    primitive mod M (the convention Hecke sums rely on at p | M).
+    The canonical point of a class is the lexicographically least pair
+    (u, v) of its orbit under the units mod M.  index(c, d) returns the
+    point index, or None when (c, d) is not primitive mod M (the
+    convention Hecke sums rely on at p | M).
     """
 
     __slots__ = ("M", "points", "table")
@@ -105,16 +71,24 @@ class P1List:
         if M < 1:
             raise ValueError("level must be >= 1")
         self.M = M
-        cache = {}
-        for u in range(M):
-            for v in range(M):
-                cache[(u, v)] = _p1_reduce(M, u, v)
         if M == 1:
-            cache[(0, 0)] = (0, 1)
-        pts = sorted({r for r in cache.values() if r is not None})
-        pos = {pt: i for i, pt in enumerate(pts)}
+            self.points, self.table = [(0, 1)], {(0, 0): 0}
+            return
+        units = [t for t in range(1, M) if gcd(t, M) == 1]
+        pts, table = [], {}
+        # a sorted scan meets each orbit first at its least pair, which has
+        # u = 0 or u | M; that pair is a new point and its orbit goes in at once
+        for u in range(M):
+            g = gcd(u, M)
+            if g != (u or M):
+                continue
+            tu = [t * u % M for t in units]
+            for v in range(M):
+                if gcd(g, v) == 1 and (u, v) not in table:
+                    table.update(zip(zip(tu, [t * v % M for t in units]), repeat(len(pts))))
+                    pts.append((u, v))
         self.points = pts
-        self.table = {uv: pos[r] for uv, r in cache.items() if r is not None}
+        self.table = table
 
     def __len__(self):
         return len(self.points)
@@ -231,12 +205,6 @@ class PlusQuotient:
                 t3 = p1.index(-c, d)
                 dsu.union(x, self._gen(i, t3), 1 if i % 2 == 0 else -1)
 
-        binom = [[0] * (w + 1) for _ in range(w + 1)]
-        for i in range(w + 1):
-            binom[i][0] = 1
-            for j in range(1, i + 1):
-                binom[i][j] = binom[i - 1][j - 1] + binom[i - 1][j]
-
         rref = SparseRREF()
         for i in range(w + 1):
             for t, (c, d) in enumerate(p1.points):
@@ -245,10 +213,10 @@ class PlusQuotient:
                 terms = [(i, p1.index(c, d), 1)]
                 ta = p1.index(d, -c - d)
                 for j in range(w - i + 1):
-                    terms.append((j, ta, (-1) ** j * binom[w - i][j]))
+                    terms.append((j, ta, (-1) ** j * comb(w - i, j)))
                 tb = p1.index(-c - d, c)
                 for j in range(i + 1):
-                    terms.append((w - i + j, tb, (-1) ** (i + j) * binom[i][j]))
+                    terms.append((w - i + j, tb, (-1) ** (i + j) * comb(i, j)))
                 row = {}
                 for ii, tt, coeff in terms:
                     r, s = dsu.find(self._gen(ii, tt))
@@ -260,7 +228,7 @@ class PlusQuotient:
 
         live = sorted({dsu.find(x)[0] for x in range(ncols)
                        if not dsu.dead[dsu.find(x)[0]]})
-        pivots = set(rref.pivot_rows)
+        pivots = rref.rows
         free = [r for r in live if r not in pivots]
         pos = {r: idx for idx, r in enumerate(free)}
 
@@ -269,23 +237,21 @@ class PlusQuotient:
         self._dsu = dsu
 
         # projection of every generator to the quotient, as integers over
-        # one common denominator
-        den = 1
-        for prow in rref.pivot_rows.values():
-            for v in prow.values():
-                den = lcm(den, v.denominator)
+        # one common denominator; the rows are primitive, so the lcm of the
+        # pivot entries is the lcm of the reduced form's denominators
+        den = lcm(*(prow[r] for r, prow in pivots.items()))
         pi = []
         for x in range(ncols):
             r, s = dsu.find(x)
             if dsu.dead[r]:
                 pi.append({})
                 continue
-            prow = rref.pivot_rows.get(r)
+            prow = pivots.get(r)
             if prow is None:
                 pi.append({pos[r]: s * den})
             else:
-                pi.append({pos[c]: -s * v.numerator * (den // v.denominator)
-                           for c, v in prow.items() if c != r})
+                m = -s * (den // prow[r])
+                pi.append({pos[c]: m * v for c, v in prow.items() if c != r})
         self._den = den
         self._pi = pi
 

@@ -22,6 +22,7 @@ _cell alone decides how a value is spelled in each format.
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,7 +108,8 @@ def run_survey(config, store=None):
     Pairs with p | N are logged and skipped.  A failure in one pair is
     quarantined into the error section and the run continues.  When
     workers > 1 the pairs are farmed out to at most one process per
-    pair; store, in the parent, merges whatever the workers computed.
+    pair; store, in the parent, merges whatever the workers computed.  If
+    a worker dies, the pairs whose outcome never arrived become errors.
     store=None surveys with a fresh in-memory modsym store.  Flushing
     the store is the caller's business.
     """
@@ -130,9 +132,14 @@ def run_survey(config, store=None):
             jobs.append((p, N, config.k_max, store.engine, seed))
         outcomes = []
         with ProcessPoolExecutor(max_workers=min(config.workers, len(pairs))) as pool:
-            for outcome, records in pool.map(_survey_worker, jobs):
-                store.merge(records)
-                outcomes.append(outcome)
+            try:
+                for outcome, records in pool.map(_survey_worker, jobs):
+                    store.merge(records)
+                    outcomes.append(outcome)
+            except BrokenProcessPool as exc:
+                log.warning("process pool broke: %s", exc)
+                outcomes += [(p, N, type(exc).__name__, str(exc))
+                             for p, N in pairs[len(outcomes):]]
     else:
         outcomes = [_run_pair(p, N, config.k_max, store) for p, N in pairs]
     # pairs are in (p, N) order and pool.map keeps it

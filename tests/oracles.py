@@ -8,10 +8,12 @@ echelon forms from dense Gauss-Jordan elimination.  Agreement between
 these and the package is the point of the tests, so keep it that way.
 Hecke matrices are assembled term by term from a built space's
 presentation, so they referee the assembly, not the presentation.
+P^1(Z/M) points are reduced one pair at a time by extended gcds, where
+the package scans unit orbits.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 # ----------------------------------------------------------------------
@@ -271,3 +273,72 @@ def hecke_matrix_reference(space, family):
     if pivots != list(range(d)):
         raise AssertionError("Hecke image outside the cuspidal span")
     return [[red[i][d + j] for j in range(d)] for i in range(d)]
+
+
+# ----------------------------------------------------------------------
+# P^1(Z/M) by reducing each pair on its own
+
+def _gcdex(a, b):
+    """(x, y, g) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -x0, -y0, -a
+    return x0, y0, a
+
+
+def _lift_to_unit(n, d, a):
+    # lift a unit a mod d (d | n) to a unit mod n: CRT to 1 on the part of n
+    # coprime to d
+    if n == 1:
+        return 0
+    u, v = 1, n
+    g = gcd(v, d)
+    while g > 1:
+        u *= g
+        v //= g
+        g = gcd(v, g)
+    x, y, _ = _gcdex(u, v)
+    return (u * x + a % n * y * v) % n
+
+
+def p1_reduce_reference(M, u, v):
+    """Canonical representative of (u:v) in P^1(Z/M), or None if not primitive.
+
+    (0, 1) for u = 0 mod M; otherwise u is scaled to g = gcd(u, M) and v
+    minimized over the units that fix g.
+    """
+    u %= M
+    v %= M
+    if u == 0:
+        return (0, 1) if gcd(v, M) == 1 else None
+    _, s, g = _gcdex(M, u)
+    if gcd(g, v) > 1:
+        return None
+    # now u ~ g with multiplier s, a unit mod M/g
+    s = _lift_to_unit(M, M // g, s)
+    v = s * v % M
+    if g == 1:
+        return (1, v)
+    # the stabilizer of g scales v by units t with t = 1 mod M/g
+    vmin = v
+    for t in range(1, M, M // g):
+        if gcd(t, M) == 1:
+            w = v * t % M
+            if w < vmin:
+                vmin = w
+    return (g, vmin)
+
+
+def p1_reference(M):
+    """(points, table) of P^1(Z/M): sorted representatives, (u, v) -> index."""
+    reps = {(u, v): p1_reduce_reference(M, u, v) for u in range(M) for v in range(M)}
+    if M == 1:
+        reps[(0, 0)] = (0, 1)
+    points = sorted({r for r in reps.values() if r is not None})
+    pos = {pt: i for i, pt in enumerate(points)}
+    return points, {uv: pos[r] for uv, r in reps.items() if r is not None}

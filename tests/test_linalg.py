@@ -76,6 +76,34 @@ def test_sparse_rref_matches_dense():
                 combo[i] += c * v
         reduced = sparse.reduce_vector({i: v for i, v in enumerate(combo) if v})
         assert not reduced
+    # large integer and Fraction entries, and the exact image of vectors
+    # outside the span
+    outside = 0
+    for _ in range(40):
+        ncols = rng.randint(2, 9)
+        dense = []
+        sparse = SparseRREF()
+        for _ in range(rng.randint(1, 8)):
+            row = {}
+            for _ in range(rng.randint(1, 5)):
+                x = rng.randint(-10**6, 10**6)
+                if rng.random() < 0.5:
+                    x = Fraction(x, rng.randint(1, 999))
+                row[rng.randrange(ncols)] = x
+            dense.append([row.get(c, 0) for c in range(ncols)])
+            sparse.add_row(row)
+        mat, pivots = rref(dense, ncols)
+        assert sparse.pivot_columns == pivots
+        assert [[sparse.pivot_rows[c].get(j, 0) for j in range(ncols)]
+                for c in pivots] == mat
+        vec = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999)) for _ in range(ncols)]
+        # the dense reduction: subtract vec[c] times the echelon row of each pivot c
+        image = [vec[j] - sum(vec[c] * mat[i][j] for i, c in enumerate(pivots))
+                 for j in range(ncols)]
+        assert sparse.reduce_vector(dict(enumerate(vec))) == {
+            j: x for j, x in enumerate(image) if x}
+        outside += any(image)
+    assert outside >= 20
 
 
 def test_span_solver_roundtrip():

@@ -6,11 +6,13 @@ spaces) computed independently in tests/oracles.py.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from heckeslopes.dimensions import dim_cuspforms
 from heckeslopes.exact import IntPolynomial, newton_slopes
+from heckeslopes.linalg import SparseRREF
 from heckeslopes.modsym import (
     P1List,
     PlusQuotient,
@@ -25,6 +27,8 @@ from oracles import (
     delta_coefficients,
     eta_space_coefficient,
     hecke_matrix_reference,
+    p1_reference,
+    rref,
 )
 
 
@@ -195,6 +199,45 @@ def test_p1_basics():
     for t, (c, d) in enumerate(p1.points):
         assert p1.index(c, d) == t
         assert p1.index(5 * c, 5 * d) == t  # scaling by a unit
+
+
+def test_p1_table_matches_reference():
+    for M in range(1, 61):
+        p1 = P1List(M)
+        assert (p1.points, p1.table) == p1_reference(M), M
+
+
+@pytest.mark.parametrize("k, M", [(4, 11), (6, 30), (10, 23)])
+def test_presentation_matches_dense_rref(k, M, monkeypatch):
+    # the three-term relation rows the presentation feeds its elimination
+    fed, echelons = [], []
+
+    class Recording(SparseRREF):
+        def __init__(self):
+            super().__init__()
+            echelons.append(self)
+
+        def add_row(self, row):
+            fed.append(dict(row))
+            return super().add_row(row)
+
+    monkeypatch.setattr("heckeslopes.modsym.SparseRREF", Recording)
+    space = PlusQuotient(k, M)
+    (ech,) = echelons
+    cols = sorted({c for row in fed for c in row})
+    mat, pivots = rref([[row.get(c, 0) for c in cols] for row in fed], len(cols))
+    assert ech.pivot_columns == [cols[j] for j in pivots]
+    assert [[Fraction(ech.rows[cols[j]].get(c, 0), ech.rows[cols[j]][cols[j]]) for c in cols]
+            for j in pivots] == mat
+    for c, row in ech.rows.items():
+        assert min(row) == c and row[c] > 0 and gcd(*row.values()) == 1
+    assert space._den == lcm(*(x.denominator for r in mat for x in r))
+    assert set(space.free_roots).isdisjoint(ech.rows)
+    # a pivot generator projects to minus its echelon row, over _den
+    pos = {r: i for i, r in enumerate(space.free_roots)}
+    for row, j in zip(mat, pivots):
+        assert space._pi[cols[j]] == {pos[cols[c]]: -x * space._den
+                                      for c, x in enumerate(row) if x and c != j}
 
 
 def test_presentation_is_deterministic():

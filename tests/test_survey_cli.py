@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
@@ -216,6 +217,40 @@ def test_pool_is_no_larger_than_the_grid(monkeypatch):
     assert render(result, "csv") == "%s\n2,11,irregular,2,2,1/2,true,ok\n" % CSV_HEADER
     run_survey(SurveyConfig(primes=(2, 3), levels=(11, 13, 15), k_max=4, workers=4))
     assert sizes == [1, 4]
+
+
+def test_dead_worker_quarantines_the_missing_pairs(monkeypatch, tmp_path, capsys):
+    class DyingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            # one outcome arrives, then the pool breaks as a killed worker breaks it
+            yield fn(next(iter(jobs)))
+            raise BrokenProcessPool("fabricated death")
+
+    monkeypatch.setattr("heckeslopes.survey.ProcessPoolExecutor", DyingPool)
+    store = CharpolyCache()
+    result = run_survey(SurveyConfig(primes=(2,), levels=(11, 13, 15), k_max=4, workers=2),
+                        store)
+    assert render(result, "csv") == (
+        "%s\n2,11,irregular,2,2,1/2,true,ok\n"
+        "# error p=2 N=13 BrokenProcessPool: fabricated death\n"
+        "# error p=2 N=15 BrokenProcessPool: fabricated death\n" % CSV_HEADER)
+    assert store.records and {key[:2] for key in store.records} <= {(2, 11), (2, 22)}
+    # the command line prints the same report and its store keeps what arrived
+    path = tmp_path / "cache.jsonl"
+    code = main(["survey", "--p", "2", "--N", "11,13,15", "--k-max", "4",
+                 "--workers", "2", "--cache", str(path)])
+    assert code == 0  # no inconsistency and no inconclusive row
+    assert capsys.readouterr().out == render(result, "csv")
+    assert CharpolyCache(str(path)).records == store.records
 
 
 # ----------------------------------------------------------------------
