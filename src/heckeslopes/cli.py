@@ -2,8 +2,8 @@
 
 Subcommands: regularity, slopes, witness, survey, crosscheck.  Reports
 go to stdout, logs to stderr.  Exit codes: 0 success, 1 usage error,
-2 mathematical inconsistency, 3 witness search inconclusive (and
-nothing worse happened).
+2 mathematical inconsistency or a survey pair that could not be
+computed, 3 witness search inconclusive (and nothing worse happened).
 """
 
 import argparse
@@ -177,7 +177,7 @@ def cmd_survey(args):
         result = run_survey(config, store)
     _print(render_report(COLUMNS, [dataclasses.astuple(row) for row in result.rows],
                          args.fmt, result.errors))
-    if any(kind in ("ConsistencyError", "ArithmeticError") for _, _, kind, _ in result.errors):
+    if result.errors:  # an inconsistency, or a pair that could not be computed
         return EXIT_INCONSISTENT
     if any(row.status == "inconclusive" for row in result.rows):
         return EXIT_INCONCLUSIVE

@@ -375,13 +375,20 @@ def newton_slopes(f, p):
     return SlopeMultiset(np_.segments)
 
 
-def inverse_charpoly(M):
+def inverse_charpoly(M, root_bound=None):
     """det(1 - M*X) as an IntPolynomial of raw degree dim(M).
 
     Entries may be ints or Fractions; the result must come out integral
     (true for any operator written on an integral basis) and a non-integer
     coefficient raises ArithmeticError since it signals a basis bug upstream.
     Trailing zero coefficients (zero eigenvalues) are preserved.
+
+    root_bound is for callers that can guarantee every eigenvalue has
+    absolute value at most root_bound, as Deligne's bound does for T_p:
+    the multimodular computation in linalg.charpoly_monic then stops at a
+    bound set by the roots rather than by the entries, whose denominators
+    would inflate it, and certifies the result against one more prime and
+    the trace.
     """
     from .linalg import charpoly_monic
 
@@ -392,7 +399,7 @@ def inverse_charpoly(M):
     if n == 0:
         return IntPolynomial([1])
     # det(X*I - M) = sum b_i X^i  ==>  det(1 - M X) = sum b_{n-j} X^j
-    b = charpoly_monic(M)
+    b = charpoly_monic(M, root_bound=root_bound)
     coeffs = []
     for j in range(n + 1):
         c = b[n - j]

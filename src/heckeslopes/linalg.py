@@ -1,22 +1,42 @@
-"""Exact linear algebra: one elimination routine and a characteristic
-polynomial.
+"""Exact linear algebra: one elimination routine and one characteristic
+polynomial algorithm.
 
 SparseRREF is the only Gaussian elimination.  It is fraction-free
 (Bareiss, Math. Comp. 22, 1968): it stores primitive integer rows, which
 the modular-symbols presentation reads directly; kernel_basis reads
 kernel bases off its reduced form, and SpanSolver solves in the span of
 a fixed family by eliminating the family augmented with an identity
-block.  charpoly_monic is a separate algorithm over Fraction: a
-similarity reduction to Hessenberg form.
+block.
+
+charpoly_monic is multimodular (Stein, Modular Forms: A Computational
+Approach, GSM 79): denominators are cleared once, the matrix is reduced
+to Hessenberg form modulo a fixed list of primes (those below 2^127,
+largest first, found by exact.is_prime), and the residues are combined
+by CRT and lifted symmetrically.  It stops once the product of the
+primes exceeds twice one of two coefficient bounds:
+
+  * with no root bound, Hadamard's bound on the principal minors of the
+    cleared matrix d*M, which is exact for any rational matrix;
+  * with a root bound rho, promised by the caller for an integral
+    charpoly, C(n, i) rho^i.  For T_p and U_p on S_k(Gamma_0(N)) the
+    promise is a theorem: the charpoly is integral, and Deligne (La
+    conjecture de Weil I, 1974) gives |a_p| <= 2 p^((k-1)/2), while U_p
+    at p | N has |lambda| <= p^((k-1)/2).  The lift is then checked
+    against one further prime and against the exact trace, and either
+    check failing raises ArithmeticError.
 
 Everything is deterministic: the pivot of a new row is its smallest
 column and every pivot row is fully reduced, so the echelon form is the
 unique reduced row echelon form of the row span, whatever the insertion
-order.
+order; the primes are the same on every run.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import comb, gcd, isqrt, lcm
+from operator import mul, sub
+
+from .exact import is_prime
 
 __all__ = ["kernel_basis", "charpoly_monic", "SparseRREF", "SpanSolver"]
 
@@ -43,23 +63,44 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def charpoly_monic(M):
-    """Coefficients of det(X*I - M), constant first, exact over Fraction.
+def _moduli():
+    """The primes below 2^127, largest first, found once and memoized.
 
-    Similarity reduction to Hessenberg form followed by the standard
-    leading-principal-minor recurrence; O(n^3) field operations, much
-    faster than division-free methods once entries grow.
+    At this size is_prime is a strong probable-prime test to twelve
+    bases; the results below would stay exact for any pairwise coprime
+    moduli, since a pivot that fails to invert raises.
     """
-    n = len(M)
-    if n == 0:
-        return [Fraction(1)]
-    H = [[Fraction(x) for x in row] for row in M]
+    i = 0
+    while True:
+        if i == len(_MODULI):
+            q = _MODULI[-1] - 2
+            while not is_prime(q):
+                q -= 2
+            _MODULI.append(q)
+        yield _MODULI[i]
+        i += 1
+
+
+# the first ten written out: searching for them costs every process
+# several milliseconds
+_MODULI = [2**127 - c for c in (1, 25, 39, 295, 309, 507, 511, 577, 697, 735)]
+
+
+def _charpoly_mod(H, ell):
+    """det(X*I - H) mod ell, constant first, for a matrix of residues.
+
+    Similarity reduction to Hessenberg form (H is overwritten), then the
+    leading-principal-minor recurrence.  A pivot that does not invert
+    modulo ell raises ValueError.
+
+    Row operations skip the reduction mod ell: each adds f*b with f and b
+    reduced, so entries stay below (n + 1) * ell^2.  The pivot row and
+    the multipliers are reduced before use, and the entries left below
+    the subdiagonal (zero mod ell) are never read again.
+    """
+    n = len(H)
     for c in range(n - 2):
-        piv = None
-        for r in range(c + 1, n):
-            if H[r][c] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(c + 1, n) if H[r][c] % ell), None)
         if piv is None:
             continue
         if piv != c + 1:
@@ -67,41 +108,94 @@ def charpoly_monic(M):
             H[c + 1], H[piv] = H[piv], H[c + 1]
             for row in H:
                 row[c + 1], row[piv] = row[piv], row[c + 1]
-        inv = 1 / H[c + 1][c]
-        for r in range(c + 2, n):
-            f = H[r][c]
-            if f == 0:
-                continue
-            f *= inv
-            Hr, Hc1 = H[r], H[c + 1]
-            for j in range(c, n):
-                Hr[j] -= f * Hc1[j]
-            # inverse column operation: col_{c+1} += f * col_r
-            for row in H:
-                row[c + 1] += f * row[r]
+        Hc1 = H[c + 1]
+        Hc1[c:] = tail = [x % ell for x in Hc1[c:]]
+        inv = pow(tail[0], -1, ell)
+        fs = [H[r][c] * inv % ell for r in range(c + 2, n)]
+        if not any(fs):
+            continue
+        # row_r -= f_r * row_{c+1}; rows below c+1 vanish left of column c
+        for r, f in enumerate(fs, c + 2):
+            if f:
+                Hr = H[r]
+                Hr[c:] = map(sub, Hr[c:], map(f.__mul__, tail))
+        # the inverse column operations together: col_{c+1} += sum f_r col_r
+        for row in H:
+            row[c + 1] = (row[c + 1] + sum(map(mul, fs, islice(row, c + 2, None)))) % ell
     # p_m(X) = det(X I - H[:m,:m]); expanding along the last column:
     # p_m = (X - H[m-1][m-1]) p_{m-1}
     #       - sum_{i>=1} H[m-1-i][m-1] * (prod of the i subdiagonal entries
     #                                     H[m-j][m-j-1], j=1..i) * p_{m-1-i}
-    polys = [[Fraction(1)]]
+    polys = [[1]]
     for m in range(1, n + 1):
         prev = polys[m - 1]
-        cur = [Fraction(0)] * (m + 1)
         a = H[m - 1][m - 1]
-        for i, ci in enumerate(prev):
-            cur[i + 1] += ci
-            cur[i] -= a * ci
-        sub = Fraction(1)
+        cur = [0] + prev
+        cur[:m] = [x - a * y for x, y in zip(cur, prev)]
+        chain = 1
         for i in range(1, m):
-            sub *= H[m - i][m - i - 1]
-            if sub == 0:
+            chain = chain * H[m - i][m - i - 1] % ell
+            if not chain:
                 break
-            f = H[m - 1 - i][m - 1] * sub
+            f = H[m - 1 - i][m - 1] * chain % ell
             if f:
-                for j, cj in enumerate(polys[m - 1 - i]):
-                    cur[j] -= f * cj
-        polys.append(cur)
+                q = polys[m - 1 - i]
+                cur[:len(q)] = [x - f * y for x, y in zip(cur, q)]
+        polys.append([x % ell for x in cur])
     return polys[n]
+
+
+def charpoly_monic(M, root_bound=None):
+    """Coefficients of det(X*I - M), constant first, for a rational matrix.
+
+    The Hessenberg residues of B = d*M (d the lcm of the denominators)
+    modulo the primes of _moduli are combined by CRT until their product
+    P exceeds twice a coefficient bound, then lifted to (-P/2, P/2].
+
+    Without root_bound the bound is Hadamard's on the principal minors of
+    B, e_i of its row norms, so the result is exact for any rational
+    matrix: the coefficient of X^(n-i) is c_i(B) / d^i, a Fraction.
+    root_bound = rho promises an integral charpoly whose roots satisfy
+    |lambda| <= rho, so the bound is max C(n, i) rho^i, free of d^i.  M
+    is then reduced modulo the primes not dividing d, the lift must agree
+    with one further prime and c_(n-1) with -tr(M), else ArithmeticError
+    is raised, and the coefficients are ints.
+    """
+    n = len(M)
+    if n == 0:
+        return [1]
+    d = lcm(*(x.denominator for row in M for x in row))
+    B = [[x.numerator * (d // x.denominator) for x in row] for row in M]
+    if root_bound is None:
+        sq = [sum(x * x for x in row) for row in B]
+        e = [1]  # elementary symmetric functions of the row norms, rounded up
+        for r in (isqrt(s - 1) + 1 if s else 0 for s in sq):
+            e = [a + r * b for a, b in zip(e + [0], [0] + e)]
+        bound = max(e)
+    else:
+        bound = max(comb(n, i) * root_bound ** i for i in range(n + 1))
+
+    def residues(ell):
+        s = 1 if root_bound is None else pow(d, -1, ell)
+        return _charpoly_mod([[x * s % ell for x in row] for row in B], ell)
+
+    primes = (ell for ell in _moduli() if d % ell)
+    lift, P = [0] * (n + 1), 1
+    while P <= 2 * bound:
+        ell = next(primes)
+        t = pow(P, -1, ell)
+        lift = [x + P * ((r - x) * t % ell) for x, r in zip(lift, residues(ell))]
+        P *= ell
+    lift = [x - P if 2 * x > P else x for x in lift]
+    if root_bound is None:
+        return [Fraction(c, d ** (n - j)) for j, c in enumerate(lift)]
+    ell = next(primes)
+    if any((x - r) % ell for x, r in zip(lift, residues(ell))):
+        raise ArithmeticError("characteristic polynomial exceeds the root bound %d "
+                              "or is not integral" % root_bound)
+    if lift[n - 1] != -sum(M[i][i] for i in range(n)):
+        raise ArithmeticError("characteristic polynomial disagrees with the trace")
+    return lift
 
 
 def _sub_multiple(row, f, other):

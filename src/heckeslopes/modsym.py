@@ -24,13 +24,17 @@ coefficients; these integers are summed over the family per (generator,
 target point), and only then unpacked and projected.  A digit of such a
 sum is at most len(family) * max(a+b, c+d)^w, and 2^B is taken above
 that bound, so digits never carry into each other (a + b reaches 2n - 1,
-so (n + 1)^w would be too small).
+so (n + 1)^w would be too small).  The images of the cuspidal basis
+vectors, each scaled by the lcm of its denominators, are summed in
+integers too, and one SpanSolver per space writes them in that basis.
+
+T_p's characteristic polynomial is multimodular (see linalg), bounded by
+Deligne's |a_p| <= 2 p^((k-1)/2), which also bounds U_p at p | M.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .dimensions import dim_cuspforms
 from .errors import ConsistencyError
@@ -297,13 +301,15 @@ class PlusQuotient:
             raise ConsistencyError(
                 f"cuspidal dimension {self.dim} != formula {expected} "
                 f"at (k={self.k}, M={self.M})")
+        self._solver = SpanSolver(self.cuspidal_basis)
 
     # -- Hecke action ----------------------------------------------------
 
     def _quotient_hecke_columns(self, n):
         """Images of the free generators under T_n, in quotient coordinates.
 
-        Assembled from packed integer sums (see the module docstring).
+        Assembled from packed integer sums (see the module docstring);
+        each column is integral and stands for itself divided by _den.
         """
         w = self.k - 2
         p1 = self.p1
@@ -338,7 +344,7 @@ class PlusQuotient:
                     if coeff:
                         for fp, fv in self._pi[self._gen(j, t1)].items():
                             vec[fp] += coeff * fv
-            cols.append([Fraction(v, self._den) for v in vec])
+            cols.append(vec)
         return cols
 
     def hecke_matrix(self, n):
@@ -348,29 +354,28 @@ class PlusQuotient:
         if n > 1 and not is_prime(n):
             # composite indices would need the full multiplicative recursion
             raise ValueError(f"Hecke index must be 1 or prime, got {n}")
-        d = self.dim
-        if d == 0:
+        if self.dim == 0:
             return []
         cols = self._quotient_hecke_columns(n)
-        solver = SpanSolver(self.cuspidal_basis)
-        A = [[Fraction(0)] * d for _ in range(d)]
-        for j, bvec in enumerate(self.cuspidal_basis):
-            img = [Fraction(0)] * self.quotient_dim
-            for r, x in enumerate(bvec):
+        images = []
+        for bvec in self.cuspidal_basis:
+            # the image of L * bvec, in integers, stands for the image of
+            # bvec times L * _den
+            L = lcm(*(x.denominator for x in bvec))
+            img = [0] * self.quotient_dim
+            for x, colr in zip(bvec, cols):
                 if x:
-                    colr = cols[r]
-                    for idx in range(self.quotient_dim):
-                        if colr[idx]:
-                            img[idx] += x * colr[idx]
+                    m = x.numerator * (L // x.denominator)
+                    img = [a + m * b for a, b in zip(img, colr)]
             try:
-                coeffs = solver.solve(img)
+                coeffs = self._solver.solve(img)
             except ValueError:
                 raise ConsistencyError(
                     f"T_{n} does not preserve the cuspidal subspace at "
                     f"(k={self.k}, M={self.M})") from None
-            for i in range(d):
-                A[i][j] = coeffs[i]
-        return A
+            scale = L * self._den
+            images.append([c / scale for c in coeffs])
+        return [list(row) for row in zip(*images)]
 
 
 # The only memo besides the charpoly store, which keys polynomials by p:
@@ -392,4 +397,7 @@ def charpoly_cuspidal(k, M, p):
     Raw degree always equals dim S_k, so trailing zero coefficients record
     zero eigenvalues.
     """
-    return inverse_charpoly(plus_quotient(k, M).hecke_matrix(p))
+    # Deligne: every eigenvalue of T_p, and of U_p at p | M, has absolute
+    # value at most 2 p^((k-1)/2)
+    return inverse_charpoly(plus_quotient(k, M).hecke_matrix(p),
+                            root_bound=2 * (isqrt(p ** (k - 1)) + 1))

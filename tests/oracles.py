@@ -3,11 +3,13 @@
 Nothing here imports from the package's math internals: q-expansions
 come from eta products, class numbers from two direct reduced-form
 enumerations (different normal forms from each other and from the
-library's sieve), characteristic polynomials from cofactor expansion, and reduced row
-echelon forms from dense Gauss-Jordan elimination.  Agreement between
-these and the package is the point of the tests, so keep it that way.
-Hecke matrices are assembled term by term from a built space's
-presentation, so they referee the assembly, not the presentation.
+library's sieve), characteristic polynomials from cofactor expansion and
+from a Hessenberg reduction over Fraction (the package works modulo
+primes), and reduced row echelon forms from dense Gauss-Jordan
+elimination.  Agreement between these and the package is the point of
+the tests, so keep it that way.  Hecke matrices are assembled term by
+term from a built space's presentation, so they referee the assembly,
+not the presentation.
 P^1(Z/M) points are reduced one pair at a time by extended gcds, where
 the package scans unit orbits.
 """
@@ -177,6 +179,67 @@ def inverse_charpoly_reference(mat):
     """Coefficients of det(1 - mat*X), constant first, length n+1."""
     # det(1 - MX) = X^n * charpoly(M)(1/X): reverse the monic charpoly
     return list(reversed(charpoly_reference(mat)))
+
+
+def charpoly_hessenberg_reference(M):
+    """Coefficients of det(X*I - M), constant first, exact over Fraction.
+
+    Similarity reduction to Hessenberg form followed by the standard
+    leading-principal-minor recurrence: O(n^3) field operations, so it
+    referees matrices far beyond cofactor expansion.
+    """
+    n = len(M)
+    if n == 0:
+        return [Fraction(1)]
+    H = [[Fraction(x) for x in row] for row in M]
+    for c in range(n - 2):
+        piv = None
+        for r in range(c + 1, n):
+            if H[r][c] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != c + 1:
+            # swap rows and the matching columns to keep similarity
+            H[c + 1], H[piv] = H[piv], H[c + 1]
+            for row in H:
+                row[c + 1], row[piv] = row[piv], row[c + 1]
+        inv = 1 / H[c + 1][c]
+        for r in range(c + 2, n):
+            f = H[r][c]
+            if f == 0:
+                continue
+            f *= inv
+            Hr, Hc1 = H[r], H[c + 1]
+            for j in range(c, n):
+                Hr[j] -= f * Hc1[j]
+            # inverse column operation: col_{c+1} += f * col_r
+            for row in H:
+                row[c + 1] += f * row[r]
+    # p_m(X) = det(X I - H[:m,:m]); expanding along the last column:
+    # p_m = (X - H[m-1][m-1]) p_{m-1}
+    #       - sum_{i>=1} H[m-1-i][m-1] * (prod of the i subdiagonal entries
+    #                                     H[m-j][m-j-1], j=1..i) * p_{m-1-i}
+    polys = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        cur = [Fraction(0)] * (m + 1)
+        a = H[m - 1][m - 1]
+        for i, ci in enumerate(prev):
+            cur[i + 1] += ci
+            cur[i] -= a * ci
+        sub = Fraction(1)
+        for i in range(1, m):
+            sub *= H[m - i][m - i - 1]
+            if sub == 0:
+                break
+            f = H[m - 1 - i][m - 1] * sub
+            if f:
+                for j, cj in enumerate(polys[m - 1 - i]):
+                    cur[j] -= f * cj
+        polys.append(cur)
+    return polys[n]
 
 
 # ----------------------------------------------------------------------

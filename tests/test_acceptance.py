@@ -37,7 +37,7 @@ from oracles import delta_coefficients
 
 GRID = [(k, N, p) for k in range(2, 17, 2) for N in range(1, 15)
         for p in (2, 3, 5, 7, 11, 13) if N % p]
-DIRECT_CAP = 30          # criterion 6: level-Np dimension bound for direct runs
+DIRECT_CAP = 45          # criterion 6: level-Np dimension bound for direct runs
 
 
 def _verdict(n, ok, detail, t0, budget):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from heckeslopes.linalg import (SparseRREF, SpanSolver, charpoly_monic,
+from heckeslopes.exact import is_prime
+from heckeslopes.linalg import (SparseRREF, SpanSolver, _moduli, charpoly_monic,
                                 kernel_basis)
 from oracles import charpoly_reference, rref
 
@@ -47,6 +49,56 @@ def test_charpoly_monic_matches_cofactor_oracle():
         n = rng.randint(1, 5)
         mat = [[Fraction(rng.randint(-8, 8)) for _ in range(n)] for _ in range(n)]
         assert list(charpoly_monic(mat)) == charpoly_reference(mat)
+
+
+def test_charpoly_monic_root_bound_path():
+    # integer matrices under their Gershgorin bound, down to one prime
+    # before the extra one; the coefficients come out as ints
+    rng = random.Random(13)
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        mat = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
+        rho = max(sum(abs(x) for x in row) for row in mat)
+        got = charpoly_monic(mat, root_bound=rho)
+        assert got == charpoly_reference(mat)
+        assert all(type(c) is int for c in got)
+    # a rational matrix with integral charpoly: x^2 - 2 from conjugating
+    # [[0, 2], [1, 0]] by diag(1, 3)
+    assert charpoly_monic([[0, Fraction(2, 3)], [3, 0]], root_bound=2) == [-2, 0, 1]
+    # many primes: a 12 x 12 companion matrix of prod (X - 10^9 i)
+    roots = [10**9 * i for i in range(-6, 6)]
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    companion = [[int(i == j + 1) for j in range(12)] for i in range(12)]
+    for i in range(12):
+        companion[i][11] = -coeffs[i]
+    assert charpoly_monic(companion, root_bound=6 * 10**9) == coeffs
+
+
+def test_moduli_are_the_primes_below_2_to_127():
+    # the ten written out, and the search that continues below them
+    found = [q for q in range(2**127 - 1, 2**127 - 1500, -2) if is_prime(q)]
+    assert len(found) > 10
+    assert list(islice(_moduli(), len(found))) == found
+
+
+def test_charpoly_monic_root_bound_rejects():
+    # integral trace, non-integral charpoly X^2 - X - 1/4
+    with pytest.raises(ArithmeticError):
+        charpoly_monic([[1, Fraction(1, 2)], [Fraction(1, 2), 0]], root_bound=2)
+    # non-integral trace
+    with pytest.raises(ArithmeticError):
+        charpoly_monic([[Fraction(1, 2), 0], [0, 0]], root_bound=2)
+    with pytest.raises(ArithmeticError):
+        charpoly_monic([[Fraction(1, 3)]], root_bound=2)
+    # integral, but its roots +-2^100 are far outside the promised bound
+    with pytest.raises(ArithmeticError):
+        charpoly_monic([[0, 1], [2**200, 0]], root_bound=2)
+    # the generic path needs no promise and gets both exactly
+    assert charpoly_monic([[1, Fraction(1, 2)], [Fraction(1, 2), 0]]) == [
+        Fraction(-1, 4), -1, 1]
+    assert charpoly_monic([[0, 1], [2**200, 0]]) == [-2**200, 0, 1]
 
 
 def test_sparse_rref_matches_dense():

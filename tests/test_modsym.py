@@ -24,6 +24,7 @@ from heckeslopes.modsym import (
 
 from oracles import (
     ETA_SPACES,
+    charpoly_hessenberg_reference,
     delta_coefficients,
     eta_space_coefficient,
     hecke_matrix_reference,
@@ -109,6 +110,18 @@ def test_charpoly_cuspidal_pins():
     assert charpoly_cuspidal(12, 1, 2) == IntPolynomial([1, 24])
     assert charpoly_cuspidal(2, 22, 2) == IntPolynomial([1, 2, 2])
     assert charpoly_cuspidal(10, 1, 7) == IntPolynomial([1])
+
+
+def test_charpoly_cuspidal_matches_fraction_hessenberg():
+    # every space with k <= 12 and M <= 30 at p = 2: T_2 at odd M, U_2 at
+    # 2 || M and at 4 | M; U_3 and U_5 at p || M and p^2 | M; and a
+    # 28-dimensional T_13 whose coefficients need several primes
+    cases = [(k, M, 2) for k in range(2, 13, 2) for M in range(1, 31)]
+    cases += [(k, M, p) for k in (4, 6) for M, p in ((15, 3), (18, 3), (10, 5), (25, 5))]
+    cases.append((16, 14, 13))
+    for k, M, p in cases:
+        ref = charpoly_hessenberg_reference(plus_quotient(k, M).hecke_matrix(p))
+        assert list(charpoly_cuspidal(k, M, p).coeffs) == ref[::-1], (k, M, p)
 
 
 def test_charpoly_raw_degree_records_dimension():

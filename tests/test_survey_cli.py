@@ -248,7 +248,7 @@ def test_dead_worker_quarantines_the_missing_pairs(monkeypatch, tmp_path, capsys
     path = tmp_path / "cache.jsonl"
     code = main(["survey", "--p", "2", "--N", "11,13,15", "--k-max", "4",
                  "--workers", "2", "--cache", str(path)])
-    assert code == 0  # no inconsistency and no inconclusive row
+    assert code == 2  # pairs were lost
     assert capsys.readouterr().out == render(result, "csv")
     assert CharpolyCache(str(path)).records == store.records
 
@@ -278,6 +278,15 @@ def test_cli_survey_quarantine_exit(monkeypatch, capsys):
     code = main(["survey", "--p", "2", "--N", "11", "--cache", ""])
     assert code == 2
     assert "# error p=2 N=11 ConsistencyError: fabricated" in capsys.readouterr().out
+
+    # a pair lost to any other exception is no success either
+    def crash(p, N, k_max=0, store=None):
+        raise RuntimeError("fabricated")
+
+    monkeypatch.setattr("heckeslopes.survey.compute_pair", crash)
+    code = main(["survey", "--p", "2", "--N", "11", "--cache", ""])
+    assert code == 2
+    assert "# error p=2 N=11 RuntimeError: fabricated" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["witness", "slopes"])
