@@ -15,12 +15,12 @@ from .dimensions import dim_cuspforms, dim_new_at_p, genus
 from .errors import ConsistencyError, TraceBudgetExceeded
 from .exact import (INFINITY, IntPolynomial, NewtonPolygon, SlopeMultiset,
                     inverse_charpoly, newton_slopes, valuation)
-from .modsym import charpoly_cuspidal, hecke_on_cuspidal, plus_quotient
+from .modsym import charpoly_cuspidal, plus_quotient
 from .slopes import (HeckeContext, P2Report, RegularityVerdict, UpSlopeAssembly,
                      Witness, classicality_filter, default_witness_bound,
                      find_fractional_witness, is_regular, p2_refinement_check,
                      refinement_pair, regularity_weight_range, tp_slopes,
-                     up_assembly, up_slopes_direct, weight_sequence, witness_label)
+                     up_assembly, up_slopes_direct, witness_label)
 from .survey import (COLUMNS, CSV_HEADER, ReportRow, SurveyConfig, SurveyResult,
                      compute_pair, render_report, run_survey)
 from .traceforms import (ClassNumberTable, charpoly_from_traces, default_table,
@@ -34,12 +34,12 @@ __all__ = [
     "ConsistencyError", "TraceBudgetExceeded",
     "INFINITY", "IntPolynomial", "NewtonPolygon", "SlopeMultiset",
     "inverse_charpoly", "newton_slopes", "valuation",
-    "charpoly_cuspidal", "hecke_on_cuspidal", "plus_quotient",
+    "charpoly_cuspidal", "plus_quotient",
     "HeckeContext", "P2Report", "RegularityVerdict", "UpSlopeAssembly",
     "Witness", "classicality_filter", "default_witness_bound",
     "find_fractional_witness", "is_regular", "p2_refinement_check",
     "refinement_pair", "regularity_weight_range", "tp_slopes", "up_assembly",
-    "up_slopes_direct", "weight_sequence", "witness_label",
+    "up_slopes_direct", "witness_label",
     "COLUMNS", "CSV_HEADER", "ReportRow", "SurveyConfig", "SurveyResult",
     "compute_pair", "render_report", "run_survey",
     "ClassNumberTable", "charpoly_from_traces", "default_table",

@@ -6,7 +6,6 @@ fractions.Fraction throughout, never floats.
 """
 
 from fractions import Fraction
-from math import gcd
 
 __all__ = [
     "INFINITY", "IntPolynomial", "NewtonPolygon", "SlopeMultiset",
@@ -191,8 +190,6 @@ def _as_int(c):
         if c.denominator != 1:
             raise ValueError(f"non-integer coefficient {c}")
         return c.numerator
-    if isinstance(c, bool):  # bools sneak through isinstance(int)
-        return int(c)
     raise TypeError(f"bad coefficient type {type(c)!r}")
 
 
@@ -375,20 +372,15 @@ def newton_slopes(f, p):
     return SlopeMultiset(np_.segments)
 
 
-def inverse_charpoly(M, root_bound=None):
+def inverse_charpoly(M, *, root_bound):
     """det(1 - M*X) as an IntPolynomial of raw degree dim(M).
 
-    Entries may be ints or Fractions; the result must come out integral
-    (true for any operator written on an integral basis) and a non-integer
-    coefficient raises ArithmeticError since it signals a basis bug upstream.
+    Entries may be ints or Fractions.  The caller promises an integral
+    charpoly whose eigenvalues all have absolute value at most
+    root_bound, as Deligne's bound does for T_p; linalg.charpoly_monic
+    computes it modulo enough primes for that bound and certifies it
+    against one more, raising ArithmeticError if the promise was broken.
     Trailing zero coefficients (zero eigenvalues) are preserved.
-
-    root_bound is for callers that can guarantee every eigenvalue has
-    absolute value at most root_bound, as Deligne's bound does for T_p:
-    the multimodular computation in linalg.charpoly_monic then stops at a
-    bound set by the roots rather than by the entries, whose denominators
-    would inflate it, and certifies the result against one more prime and
-    the trace.
     """
     from .linalg import charpoly_monic
 
@@ -396,14 +388,5 @@ def inverse_charpoly(M, root_bound=None):
     for row in M:
         if len(row) != n:
             raise ValueError("non-square matrix")
-    if n == 0:
-        return IntPolynomial([1])
     # det(X*I - M) = sum b_i X^i  ==>  det(1 - M X) = sum b_{n-j} X^j
-    b = charpoly_monic(M, root_bound=root_bound)
-    coeffs = []
-    for j in range(n + 1):
-        c = b[n - j]
-        if isinstance(c, Fraction) and c.denominator != 1:
-            raise ArithmeticError(f"non-integer characteristic coefficient {c}")
-        coeffs.append(int(c))
-    return IntPolynomial(coeffs)
+    return IntPolynomial(charpoly_monic(M, root_bound)[::-1])

@@ -9,21 +9,18 @@ a fixed family by eliminating the family augmented with an identity
 block.
 
 charpoly_monic is multimodular (Stein, Modular Forms: A Computational
-Approach, GSM 79): denominators are cleared once, the matrix is reduced
-to Hessenberg form modulo a fixed list of primes (those below 2^127,
-largest first, found by exact.is_prime), and the residues are combined
-by CRT and lifted symmetrically.  It stops once the product of the
-primes exceeds twice one of two coefficient bounds:
-
-  * with no root bound, Hadamard's bound on the principal minors of the
-    cleared matrix d*M, which is exact for any rational matrix;
-  * with a root bound rho, promised by the caller for an integral
-    charpoly, C(n, i) rho^i.  For T_p and U_p on S_k(Gamma_0(N)) the
-    promise is a theorem: the charpoly is integral, and Deligne (La
-    conjecture de Weil I, 1974) gives |a_p| <= 2 p^((k-1)/2), while U_p
-    at p | N has |lambda| <= p^((k-1)/2).  The lift is then checked
-    against one further prime and against the exact trace, and either
-    check failing raises ArithmeticError.
+Approach, GSM 79) and takes one bound: the caller promises an integral
+charpoly whose roots satisfy |lambda| <= rho, so its coefficients are at
+most C(n, i) rho^i.  For T_p and U_p on S_k(Gamma_0(N)) the promise is a
+theorem: the charpoly is integral, and Deligne (La conjecture de Weil I,
+1974) gives |a_p| <= 2 p^((k-1)/2), while U_p at p | N has |lambda| <=
+p^((k-1)/2).  The matrix is reduced to Hessenberg form modulo a fixed
+list of primes (those below 2^127, largest first, found by
+exact.is_prime, skipping those that divide a denominator), and the
+residues are combined by CRT and lifted symmetrically once the product
+of the primes exceeds twice the bound.  The lift is certified against
+one further prime; a mismatch means the promise was broken and raises
+ArithmeticError.
 
 Everything is deterministic: the pivot of a new row is its smallest
 column and every pivot row is fully reduced, so the echelon form is the
@@ -33,7 +30,7 @@ order; the primes are the same on every run.
 
 from fractions import Fraction
 from itertools import islice
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 from operator import mul, sub
 
 from .exact import is_prime
@@ -145,38 +142,26 @@ def _charpoly_mod(H, ell):
     return polys[n]
 
 
-def charpoly_monic(M, root_bound=None):
-    """Coefficients of det(X*I - M), constant first, for a rational matrix.
+def charpoly_monic(M, root_bound):
+    """Coefficients of det(X*I - M), constant first, as ints.
 
-    The Hessenberg residues of B = d*M (d the lcm of the denominators)
-    modulo the primes of _moduli are combined by CRT until their product
-    P exceeds twice a coefficient bound, then lifted to (-P/2, P/2].
-
-    Without root_bound the bound is Hadamard's on the principal minors of
-    B, e_i of its row norms, so the result is exact for any rational
-    matrix: the coefficient of X^(n-i) is c_i(B) / d^i, a Fraction.
-    root_bound = rho promises an integral charpoly whose roots satisfy
-    |lambda| <= rho, so the bound is max C(n, i) rho^i, free of d^i.  M
-    is then reduced modulo the primes not dividing d, the lift must agree
-    with one further prime and c_(n-1) with -tr(M), else ArithmeticError
-    is raised, and the coefficients are ints.
+    M is a square matrix of ints or Fractions whose charpoly is integral
+    with every root of absolute value at most root_bound = rho, so the
+    coefficient of X^(n-i) is at most C(n, i) rho^i.  M is reduced modulo
+    the primes of _moduli that divide no denominator; the residues are
+    combined by CRT until their product P exceeds twice that bound, then
+    lifted to (-P/2, P/2].  The lift must agree with one further prime,
+    else ArithmeticError is raised.
     """
     n = len(M)
     if n == 0:
         return [1]
     d = lcm(*(x.denominator for row in M for x in row))
     B = [[x.numerator * (d // x.denominator) for x in row] for row in M]
-    if root_bound is None:
-        sq = [sum(x * x for x in row) for row in B]
-        e = [1]  # elementary symmetric functions of the row norms, rounded up
-        for r in (isqrt(s - 1) + 1 if s else 0 for s in sq):
-            e = [a + r * b for a, b in zip(e + [0], [0] + e)]
-        bound = max(e)
-    else:
-        bound = max(comb(n, i) * root_bound ** i for i in range(n + 1))
+    bound = max(comb(n, i) * root_bound ** i for i in range(n + 1))
 
     def residues(ell):
-        s = 1 if root_bound is None else pow(d, -1, ell)
+        s = pow(d, -1, ell)
         return _charpoly_mod([[x * s % ell for x in row] for row in B], ell)
 
     primes = (ell for ell in _moduli() if d % ell)
@@ -187,14 +172,10 @@ def charpoly_monic(M, root_bound=None):
         lift = [x + P * ((r - x) * t % ell) for x, r in zip(lift, residues(ell))]
         P *= ell
     lift = [x - P if 2 * x > P else x for x in lift]
-    if root_bound is None:
-        return [Fraction(c, d ** (n - j)) for j, c in enumerate(lift)]
     ell = next(primes)
     if any((x - r) % ell for x, r in zip(lift, residues(ell))):
         raise ArithmeticError("characteristic polynomial exceeds the root bound %d "
                               "or is not integral" % root_bound)
-    if lift[n - 1] != -sum(M[i][i] for i in range(n)):
-        raise ArithmeticError("characteristic polynomial disagrees with the trace")
     return lift
 
 

@@ -42,8 +42,7 @@ from .exact import inverse_charpoly, is_prime
 from .linalg import SparseRREF, SpanSolver, kernel_basis
 
 __all__ = [
-    "P1List", "PlusQuotient", "plus_quotient",
-    "hecke_on_cuspidal", "charpoly_cuspidal", "merel_family",
+    "P1List", "PlusQuotient", "plus_quotient", "charpoly_cuspidal", "merel_family",
 ]
 
 
@@ -383,12 +382,6 @@ class PlusQuotient:
 @lru_cache(maxsize=48)
 def plus_quotient(k, M):
     return PlusQuotient(k, M)
-
-
-def hecke_on_cuspidal(k, M, n):
-    """Cuspidal Hecke matrix as a tuple of row tuples."""
-    A = plus_quotient(k, M).hecke_matrix(n)
-    return tuple(tuple(row) for row in A)
 
 
 def charpoly_cuspidal(k, M, p):

@@ -257,17 +257,6 @@ def witness_label(p, j, k):
     return "mismatch: minimal witness k=%d outside {%d, %d}" % (k, j, j + p - 1)
 
 
-def weight_sequence(j, p, n):
-    """The weight 2 + j + (p-1)*p^n; constant j residue 2 + j mod (p-1)."""
-    if not isinstance(j, int) or j < 0:
-        raise ValueError("j must be an integer >= 0")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be an integer >= 0")
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    return 2 + j + (p - 1) * p ** n
-
-
 def classicality_filter(h, k):
     """Coleman's criterion as a filter: slope h forces a classical form iff h < k-1."""
     h = Fraction(h)

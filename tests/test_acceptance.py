@@ -14,7 +14,7 @@ from fractions import Fraction
 from heckeslopes.cache import CharpolyCache
 from heckeslopes.dimensions import dim_cuspforms
 from heckeslopes.exact import IntPolynomial, SlopeMultiset, newton_slopes
-from heckeslopes.modsym import charpoly_cuspidal, hecke_on_cuspidal
+from heckeslopes.modsym import charpoly_cuspidal, plus_quotient
 from heckeslopes.slopes import (
     HeckeContext,
     find_fractional_witness,
@@ -88,7 +88,7 @@ def test_criterion_3_delta_oracle():
     primes = [2, 3, 5, 7, 11, 13, 17, 19]
     for n in primes:
         assert trace_tn(12, 1, n) == tau[n], n
-        assert hecke_on_cuspidal(12, 1, n) == ((Fraction(tau[n]),),), n
+        assert plus_quotient(12, 1).hecke_matrix(n) == [[Fraction(tau[n])]], n
     _verdict(3, True,
              "trace and matrix eigenvalue match the q-expansion at %d primes"
              % len(primes), t0, 10)

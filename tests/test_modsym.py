@@ -17,7 +17,6 @@ from heckeslopes.modsym import (
     P1List,
     PlusQuotient,
     charpoly_cuspidal,
-    hecke_on_cuspidal,
     merel_family,
     plus_quotient,
 )
@@ -56,9 +55,9 @@ def test_odd_or_bad_weight_rejected():
 
 
 def test_hecke_one_by_one_pins():
-    assert hecke_on_cuspidal(12, 1, 2) == ((Fraction(-24),),)
-    assert hecke_on_cuspidal(2, 11, 2) == ((Fraction(-2),),)
-    assert hecke_on_cuspidal(2, 11, 3) == ((Fraction(-1),),)
+    assert plus_quotient(12, 1).hecke_matrix(2) == [[Fraction(-24)]]
+    assert plus_quotient(2, 11).hecke_matrix(2) == [[Fraction(-2)]]
+    assert plus_quotient(2, 11).hecke_matrix(3) == [[Fraction(-1)]]
 
 
 def test_hecke_index_guards():
@@ -138,18 +137,18 @@ def test_charpoly_raw_degree_records_dimension():
 def test_delta_eigenvalues_match_tau():
     tau = delta_coefficients(8)
     for n in (2, 3, 5, 7):
-        A = hecke_on_cuspidal(12, 1, n)
-        assert A == ((Fraction(tau[n]),),)
+        A = plus_quotient(12, 1).hecke_matrix(n)
+        assert A == [[Fraction(tau[n])]]
 
 
 def test_level_11_matches_eta_oracle():
     # S_2(Gamma_0(11)) is spanned by eta(q)^2 eta(q^11)^2
     for p in (2, 3, 5, 7, 13):
-        A = hecke_on_cuspidal(2, 11, p)
-        assert A == ((Fraction(eta_space_coefficient(2, 11, p)),),)
+        A = plus_quotient(2, 11).hecke_matrix(p)
+        assert A == [[Fraction(eta_space_coefficient(2, 11, p))]]
     # U_11 as well
-    assert hecke_on_cuspidal(2, 11, 11) == (
-        (Fraction(eta_space_coefficient(2, 11, 11)),),)
+    assert plus_quotient(2, 11).hecke_matrix(11) == [
+        [Fraction(eta_space_coefficient(2, 11, 11))]]
 
 
 def test_up_matches_eta_oracle_on_one_dim_spaces():
@@ -159,7 +158,7 @@ def test_up_matches_eta_oracle_on_one_dim_spaces():
         for p in (2, 3):
             if M % p == 0:
                 a_p = eta_space_coefficient(k, M, p)
-                assert hecke_on_cuspidal(k, M, p) == ((Fraction(a_p),),)
+                assert plus_quotient(k, M).hecke_matrix(p) == [[Fraction(a_p)]]
 
 
 def test_u2_level_two_weight_eight():
@@ -179,7 +178,7 @@ def test_hecke_operators_commute_on_grid():
             if dim_cuspforms(k, M) == 0:
                 continue
             ps = [p for p in (2, 3, 5, 7) if M % p]
-            mats = {p: hecke_on_cuspidal(k, M, p) for p in ps}
+            mats = {p: plus_quotient(k, M).hecke_matrix(p) for p in ps}
             for i in range(len(ps)):
                 for j in range(i + 1, len(ps)):
                     A, B = mats[ps[i]], mats[ps[j]]

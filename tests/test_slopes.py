@@ -25,7 +25,6 @@ from heckeslopes.slopes import (
     tp_slopes,
     up_assembly,
     up_slopes_direct,
-    weight_sequence,
     witness_label,
 )
 from heckeslopes.survey import compute_pair
@@ -203,20 +202,6 @@ def test_witness_label():
     assert witness_label(2, 2, 2) == "k = j"
     assert witness_label(59, 16, 74) == "k = j + (p-1)"
     assert witness_label(5, 4, 6) == "mismatch: minimal witness k=6 outside {4, 8}"
-
-
-def test_weight_sequence():
-    assert weight_sequence(0, 3, 2) == 20
-    assert weight_sequence(2, 5, 0) == 8
-    assert weight_sequence(14, 59, 0) == 74
-    # all members are congruent to j + 2 modulo p - 1
-    for j, p in [(2, 5), (14, 59), (0, 3)]:
-        for n in range(4):
-            assert (weight_sequence(j, p, n) - (j + 2)) % (p - 1) == 0
-    with pytest.raises(ValueError):
-        weight_sequence(-1, 3, 0)
-    with pytest.raises(ValueError):
-        weight_sequence(0, 3, -1)
 
 
 def test_classicality_filter():
