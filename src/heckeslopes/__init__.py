@@ -17,10 +17,10 @@ from .exact import (INFINITY, IntPolynomial, NewtonPolygon, SlopeMultiset,
                     inverse_charpoly, newton_slopes, valuation)
 from .modsym import charpoly_cuspidal, plus_quotient
 from .slopes import (HeckeContext, P2Report, RegularityVerdict, UpSlopeAssembly,
-                     Witness, classicality_filter, default_witness_bound,
-                     find_fractional_witness, is_regular, p2_refinement_check,
-                     refinement_pair, regularity_weight_range, tp_slopes,
-                     up_assembly, up_slopes_direct, witness_label)
+                     Witness, default_witness_bound, find_fractional_witness,
+                     is_regular, p2_refinement_check, refinement_pair,
+                     regularity_weight_range, tp_slopes, up_assembly,
+                     up_slopes_direct, witness_label)
 from .survey import (COLUMNS, CSV_HEADER, ReportRow, SurveyConfig, SurveyResult,
                      compute_pair, render_report, run_survey)
 from .traceforms import (ClassNumberTable, charpoly_from_traces, default_table,
@@ -36,8 +36,8 @@ __all__ = [
     "inverse_charpoly", "newton_slopes", "valuation",
     "charpoly_cuspidal", "plus_quotient",
     "HeckeContext", "P2Report", "RegularityVerdict", "UpSlopeAssembly",
-    "Witness", "classicality_filter", "default_witness_bound",
-    "find_fractional_witness", "is_regular", "p2_refinement_check",
+    "Witness", "default_witness_bound", "find_fractional_witness",
+    "is_regular", "p2_refinement_check",
     "refinement_pair", "regularity_weight_range", "tp_slopes", "up_assembly",
     "up_slopes_direct", "witness_label",
     "COLUMNS", "CSV_HEADER", "ReportRow", "SurveyConfig", "SurveyResult",

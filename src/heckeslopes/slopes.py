@@ -6,9 +6,14 @@ pair (the two roots of X^2 - a_p X + p^(k-1)) is read off the Newton
 polygon through (0,0), (1, v_p(a_p)), (2, k-1), which depends on the
 slope v_p(a_p) alone.
 
-The witness search here runs to the bound it is given.  Choosing that
-bound and comparing the witness with {j, j + (p-1)} is survey.compute_pair's
-job, the one route from a (p, N) pair to a report row.
+The witness search reads its U_p band from the level-N assembly at every
+weight, so every report reads only level-N T_p polynomials, through the
+engine the store picks.  up_slopes_direct, the level-Np modsym run, is
+the independent check of that assembly (crosscheck, criteria 4 and 6)
+and no report calls it.  The search runs to the bound it is given.
+Choosing that bound and comparing the witness with {j, j + (p-1)} is
+survey.compute_pair's job, the one route from a (p, N) pair to a report
+row.
 """
 
 from dataclasses import dataclass
@@ -172,14 +177,17 @@ def up_assembly(ctx, store=None):
     part contributes dim_new_at_p copies of (k-2)/2.
     """
     slopes, zero_count = tp_slopes(ctx, store)
-    pairs = [(v, refinement_pair(v, ctx.k)) for v in slopes.as_list()]
-    pairs.extend((INFINITY, refinement_pair(INFINITY, ctx.k)) for _ in range(zero_count))
-    new_mult = dim_new_at_p(ctx.k, ctx.N, ctx.p)
-    dim_full = dim_cuspforms(ctx.k, ctx.N * ctx.p)
     new_slope = Fraction(ctx.k - 2, 2)
-    combined = SlopeMultiset(((new_slope, new_mult),))
-    for _, pair in pairs:
-        combined = combined.union(pair)
+    new_mult = dim_new_at_p(ctx.k, ctx.N, ctx.p)
+    pairs = []
+    counts = [(new_slope, new_mult)]
+    # a raw degree above dim (zero_count < 0) must reach the total check below
+    for v, m in slopes.entries + ((INFINITY, max(zero_count, 0)),):
+        pair = refinement_pair(v, ctx.k)
+        pairs += [(v, pair)] * m
+        counts += [(s, n * m) for s, n in pair]
+    combined = SlopeMultiset(counts)
+    dim_full = dim_cuspforms(ctx.k, ctx.N * ctx.p)
     if combined.total != dim_full:
         raise ConsistencyError(
             "assembled %d slopes but dim S_%d(Gamma_0(%d)) = %d"
@@ -188,7 +196,11 @@ def up_assembly(ctx, store=None):
 
 
 def up_slopes_direct(ctx, store=None):
-    """U_p slopes at level Np by modsym, whatever the store's engine (trace has no U_p)."""
+    """U_p slopes at level Np by modsym, whatever the store's engine (trace has no U_p).
+
+    This is the verification route: it checks up_assembly against an
+    independent level-Np computation and feeds no report.
+    """
     dim = dim_cuspforms(ctx.k, ctx.N * ctx.p)
     if dim == 0:
         return SlopeMultiset()
@@ -210,7 +222,6 @@ class Witness:
 
     k: int
     slope: Fraction
-    source: str  # "direct" (level Np computation) or "old-refinement" (T_p slope)
 
 
 def default_witness_bound(p, j):
@@ -221,26 +232,19 @@ def default_witness_bound(p, j):
 def find_fractional_witness(p, N, k_max, store=None):
     """Scan even weights 2..k_max for a U_p slope strictly between 0 and 1 at level Np.
 
-    Weight 2 is examined directly at level Np; for k > 2 the slopes of
-    U_p in (0,1) agree with those of T_p at level N, so the tame-level
-    polynomial is used.  Returns the first hit (smallest weight, then
-    smallest slope) or None; the theorem behind the search gives no
-    effective bound, so exhausting k_max is a legitimate "not found".
+    The band is read from up_assembly at every weight.  A T_p slope v
+    refines to {v, k-1-v} (or the tie (k-1)/2) and the p-new part sits at
+    (k-2)/2, so for k > 2 only v itself can fall in (0, 1) and the band is
+    the T_p band; at k = 2 it is the level-Np band by the refinement and
+    p-new theorem the assembly encodes.  Returns the first hit (smallest
+    weight, then smallest slope) or None; the theorem behind the search
+    gives no effective bound, so exhausting k_max is a legitimate "not
+    found".
     """
     for k in range(2, k_max + 1, 2):
-        ctx = HeckeContext(p, N, k)
-        if k == 2:
-            band = up_slopes_direct(ctx, store).in_open_interval(0, 1)
-            source = "direct"
-        else:
-            band = tp_slopes(ctx, store)[0].in_open_interval(0, 1)
-            source = "old-refinement"
+        band = up_assembly(HeckeContext(p, N, k), store).combined.in_open_interval(0, 1)
         if band:
-            slope = band.as_list()[0]
-            if not classicality_filter(slope, k):
-                raise ConsistencyError(
-                    "witness slope %s at weight %d is not classical" % (slope, k))
-            return Witness(k, slope, source)
+            return Witness(k, band.as_list()[0])
     return None
 
 
@@ -255,14 +259,6 @@ def witness_label(p, j, k):
     if k == j + p - 1:
         return "k = j + (p-1)"
     return "mismatch: minimal witness k=%d outside {%d, %d}" % (k, j, j + p - 1)
-
-
-def classicality_filter(h, k):
-    """Coleman's criterion as a filter: slope h forces a classical form iff h < k-1."""
-    h = Fraction(h)
-    if h < 0:
-        raise ValueError("slopes are nonnegative")
-    return h < k - 1
 
 
 @dataclass(frozen=True)

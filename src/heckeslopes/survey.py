@@ -128,7 +128,7 @@ def run_survey(config, store=None):
         jobs = []
         for p, N in pairs:
             seed = tuple(rec for key, rec in store.records.items()
-                         if key[0] == p and key[1] in (N, N * p))
+                         if key[0] == p and key[1] == N)
             jobs.append((p, N, config.k_max, store.engine, seed))
         outcomes = []
         with ProcessPoolExecutor(max_workers=min(config.workers, len(pairs))) as pool:

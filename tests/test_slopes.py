@@ -15,7 +15,6 @@ from heckeslopes.exact import INFINITY, SlopeMultiset
 from heckeslopes.slopes import (
     HeckeContext,
     Witness,
-    classicality_filter,
     default_witness_bound,
     find_fractional_witness,
     is_regular,
@@ -164,7 +163,7 @@ def test_witness_bound_default():
 
 def test_find_fractional_witness_pins():
     w = find_fractional_witness(2, 11, 10)
-    assert w == Witness(2, Fraction(1, 2), "direct")
+    assert w == Witness(2, Fraction(1, 2))
     # regular pair: nothing below the bound
     assert find_fractional_witness(3, 11, 20) is None
 
@@ -202,15 +201,6 @@ def test_witness_label():
     assert witness_label(2, 2, 2) == "k = j"
     assert witness_label(59, 16, 74) == "k = j + (p-1)"
     assert witness_label(5, 4, 6) == "mismatch: minimal witness k=6 outside {4, 8}"
-
-
-def test_classicality_filter():
-    assert classicality_filter(Fraction(1, 2), 2)
-    assert not classicality_filter(1, 2)
-    assert classicality_filter(10, 12)
-    assert not classicality_filter(11, 12)
-    with pytest.raises(ValueError):
-        classicality_filter(-1, 4)
 
 
 def test_p2_refinement_level_11():

@@ -87,8 +87,7 @@ def test_compute_pair_zero_means_the_default_bound():
 def test_compute_pair_reads_and_fills_the_store():
     s = CharpolyCache()
     compute_pair(2, 11, store=s)
-    levels = {(key[1], key[2]) for key in s.records}
-    assert (11, 2) in levels and (22, 2) in levels
+    assert {(rec.level, rec.operator) for rec in s.records.values()} == {(11, "T")}
     hits, misses = s.hits, s.misses
     assert compute_pair(2, 11, store=s) == compute_pair(2, 11)
     assert s.hits > hits and s.misses == misses
@@ -193,6 +192,27 @@ def test_parallel_survey_matches_serial(tmp_path):
     par = run_survey(SurveyConfig(workers=2, **grid))
     assert serial.rows == par.rows
     assert serial.errors == par.errors
+
+
+def test_trace_reports_need_no_modsym(monkeypatch, capsys):
+    # every report reads level-N T_p polynomials through the chosen engine,
+    # so --engine trace gives the modsym bytes without one modsym charpoly
+    witness = ["witness", "--p", "2", "--N", "11", "--cache", ""]
+    survey = ["survey", "--p", "2,3,5,7", "--N", "1-20", "--k-max", "12", "--cache", ""]
+    assert main(witness) == 0
+    witness_out = capsys.readouterr().out
+    assert "1/2" in witness_out
+    assert main(survey) == 3
+    survey_out = capsys.readouterr().out
+
+    def refuse(k, N, p):
+        raise AssertionError("modsym charpoly at (k=%d, N=%d, p=%d)" % (k, N, p))
+
+    monkeypatch.setattr("heckeslopes.slopes.charpoly_cuspidal", refuse)
+    assert main(witness + ["--engine", "trace"]) == 0
+    assert capsys.readouterr().out == witness_out
+    assert main(survey + ["--engine", "trace"]) == 3
+    assert capsys.readouterr().out == survey_out
 
 
 def test_pool_is_no_larger_than_the_grid(monkeypatch):
