@@ -226,9 +226,6 @@ class IntPolynomial:
             return self
         return IntPolynomial(self.coeffs[: d + 1] or (0,))
 
-    def trailing_zeros(self):
-        return self.raw_degree - max(self.degree, 0) if self.degree >= 0 else self.raw_degree
-
     def __mul__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -323,13 +320,6 @@ class SlopeMultiset:
 
     def union(self, other):
         return SlopeMultiset(self.entries + other.entries)
-
-    def count(self, slope):
-        slope = Fraction(slope)
-        for s, m in self.entries:
-            if s == slope:
-                return m
-        return 0
 
     def in_open_interval(self, lo, hi):
         """Sub-multiset of slopes strictly between lo and hi."""

@@ -187,7 +187,9 @@ def up_assembly(ctx, store=None):
         pairs += [(v, pair)] * m
         counts += [(s, n * m) for s, n in pair]
     combined = SlopeMultiset(counts)
-    dim_full = dim_cuspforms(ctx.k, ctx.N * ctx.p)
+    # dim S_k(Np) = new_mult + 2 dim S_k(N), and tp_slopes' dim S_k(N) is
+    # slopes.total + zero_count: no second evaluation of dim S_k(Np)
+    dim_full = new_mult + 2 * (slopes.total + zero_count)
     if combined.total != dim_full:
         raise ConsistencyError(
             "assembled %d slopes but dim S_%d(Gamma_0(%d)) = %d"

@@ -1,6 +1,6 @@
-"""Trace-formula engine: Hurwitz class numbers, local embedding counts,
-tr T_n on S_k(Gamma_0(N)) for gcd(n, N) = 1, and characteristic polynomials
-of T_p rebuilt from those traces.
+"""Trace-formula engine: Hurwitz class numbers, tr T_n on S_k(Gamma_0(N))
+for gcd(n, N) = 1 at every level N, and characteristic polynomials of T_p
+rebuilt from those traces.
 
 This route never touches modular symbols, so it serves as a fully
 independent cross-check of the linear algebra engine.  The polynomial is
@@ -19,11 +19,11 @@ from math import gcd, isqrt, lcm
 
 from .dimensions import dim_cuspforms, psi_index
 from .errors import ConsistencyError, TraceBudgetExceeded
-from .exact import IntPolynomial, _vp, divisors, euler_phi, factorize, kronecker
+from .exact import IntPolynomial, divisors, euler_phi, factorize
 
 __all__ = [
     "DISC_CAP_DEFAULT", "ClassNumberTable",
-    "default_table", "local_embedding_count", "trace_tn",
+    "default_table", "trace_tn",
     "charpoly_from_traces", "trace_feasible",
 ]
 
@@ -104,52 +104,6 @@ def default_table():
     return _DEFAULT_TABLE
 
 
-def local_embedding_count(q, sigma, c, nu):
-    """Number of local optimal embeddings at q for an order of level q^nu.
-
-    sigma is the Kronecker symbol of the fundamental discriminant at q,
-    c = v_q of the conductor, nu = v_q(N).  Levels beyond q^4 are out of
-    scope for this engine.
-    """
-    if nu == 0:
-        return 1
-    if nu == 1:
-        return (1 + sigma) if c == 0 else 2
-    if nu == 2:
-        if sigma == 1:
-            return 2 if c == 0 else (q + 2 if c == 1 else q + 1)
-        if sigma == -1:
-            return 0 if c == 0 else (q if c == 1 else q + 1)
-        return 0 if c == 0 else q + 1
-    if nu == 3:
-        if sigma == 1:
-            return 2 if c == 0 else (2 * q + 2 if c == 1 else 2 * q)
-        if sigma == -1:
-            return 0 if c <= 1 else 2 * q
-        return 0 if c == 0 else (q if c == 1 else 2 * q)
-    if nu == 4:
-        if sigma == 1:
-            return (2, 2 * q + 2, q * q + 2 * q)[c] if c <= 2 else q * q + q
-        if sigma == -1:
-            return (0, 0, q * q)[c] if c <= 2 else q * q + q
-        return 0 if c <= 1 else q * q + q
-    raise ValueError(f"level valuation {nu} > 4 not supported")
-
-
-def _fundamental_split(disc_abs):
-    """|Delta| -> (|D0|, f0) with Delta = D0 * f0^2, D0 fundamental."""
-    f = 1
-    m = 1
-    for p, e in factorize(disc_abs).items():
-        f *= p ** (e // 2)
-        if e % 2:
-            m *= p
-    # -m squarefree; a fundamental discriminant unless -m = 1 mod 4 fails
-    if (-m) % 4 == 1:
-        return m, f
-    return 4 * m, f // 2
-
-
 def _gegenbauer(k, t, n):
     """P_k(t, n): coefficient polynomial of the elliptic term.
 
@@ -176,8 +130,11 @@ def _sigma_phi(e_minus_d, N):
 def trace_tn(k, N, n, table=None):
     """Trace of T_n on S_k(Gamma_0(N)) for gcd(n, N) = 1, k even >= 2.
 
-    Pure class-number arithmetic; raises TraceBudgetExceeded when 4n is
-    beyond the table cap.
+    Pure class-number arithmetic, valid at every level: the elliptic term
+    is Cohen's (H. Cohen, "Trace des operateurs de Hecke sur Gamma_0(N)",
+    Sem. Theorie des Nombres de Bordeaux 1976-77; Cohen-Stromberg,
+    "Modular Forms: A Classical Approach", GSM 179).  Raises
+    TraceBudgetExceeded when 4n is beyond the table cap.
     """
     if k < 2 or k % 2:
         raise ValueError(f"weight must be even and >= 2, got {k}")
@@ -190,13 +147,10 @@ def trace_tn(k, N, n, table=None):
         raise TraceBudgetExceeded(
             f"tr T_{n} at level {N} needs class numbers up to {4 * n}, "
             f"cap is {table.cap}", k=k, N=N, n=n)
-    level_fact = factorize(N)
-    if any(e > 4 for e in level_fact.values()):
-        raise ValueError("levels with a prime power beyond q^4 are "
-                         "not supported by the trace route")
     table.ensure(4 * n)
 
     psi = psi_index(N)
+    level_parts = [q ** e for q, e in factorize(N).items()]
 
     # integer sums: total holds 24 times the trace, elliptic 12 times the
     # elliptic sum, so -(1/2) elliptic enters total as -elliptic
@@ -205,17 +159,32 @@ def trace_tn(k, N, n, table=None):
     tmax = isqrt(4 * n)
     for t in range(tmax + 1):
         weight = 1 if t == 0 else 2  # P_k is even in t for even k
-        if t * t == 4 * n:
+        D = 4 * n - t * t
+        if D == 0:
             loc = -psi  # 12 * (-psi / 12)
         else:
-            d0, f0 = _fundamental_split(4 * n - t * t)
-            sig = {q: kronecker(-d0, q) for q in level_fact}
+            # Cohen: sum over f^2 | D, -D/f^2 a discriminant, of
+            # h_w(-D/f^2) mu(t, f, n), where mu = psi(N)/psi(N/N_f) times
+            # #{x mod N : x^2 - t x + n = 0 mod N N_f}, N_f = gcd(N, f)
+            f0 = 1
+            for q, e in factorize(D).items():
+                f0 *= q ** (e // 2)
+            mu = {}  # N_f -> mu; it depends on f only through N_f
             acc = 0
-            for g in divisors(f0):
-                emb = table.h6_primitive(d0 * g * g)
-                for q, nu in level_fact.items():
-                    emb *= local_embedding_count(q, sig[q], _vp(g, q), nu)
-                acc += emb
+            for f in divisors(f0):
+                Df = D // (f * f)
+                if Df % 4 in (1, 2):
+                    continue
+                g = gcd(N, f)
+                if g not in mu:
+                    # the root count is multiplicative over q^e || N
+                    roots = 1
+                    for Q in level_parts:
+                        K = Q * gcd(g, Q)
+                        roots *= sum(1 for x in range(Q)
+                                     if (x * x - t * x + n) % K == 0)
+                    mu[g] = psi // psi_index(N // g) * roots
+                acc += table.h6_primitive(Df) * mu[g]
             loc = 2 * acc  # 12 * (acc / 6)
         if loc:
             elliptic += weight * _gegenbauer(k, t, n) * loc
@@ -366,14 +335,12 @@ def _new_charpoly(k, M, p, tr_new):
 def trace_feasible(k, N, p, table=None):
     """Whether charpoly_from_traces can run to completion for (k, N, p).
 
-    Decided in advance: the level must have no prime power beyond q^4,
-    and the class number table must reach 4 p B^2, where B is the basis
-    bound (_basis_bound) at level N.  The route reads tr T_n only for
-    n <= p B^2, so True guarantees it never runs out of budget.
+    Decided in advance: the class number table must reach 4 p B^2, where
+    B is the basis bound (_basis_bound) at level N.  The route reads
+    tr T_n only for n <= p B^2, so True guarantees it never runs out of
+    budget.  Every level is in reach otherwise.
     """
     cap = (table or _DEFAULT_TABLE).cap
-    if any(e > 4 for e in factorize(N).values()):
-        return False
     return 4 * p * _basis_bound(k, N) ** 2 <= cap
 
 

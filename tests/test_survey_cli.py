@@ -282,6 +282,17 @@ def test_cli_survey_golden(capsys):
     assert capsys.readouterr().out == GOLDEN_11
 
 
+def test_cli_survey_both_engines_at_level_32(capsys):
+    # 32 = 2^5: the trace engine referees modsym here as at every level
+    code = main(["survey", "--p", "3,5,7", "--N", "32", "--k-max", "8",
+                 "--engine", "both", "--cache", ""])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "%s\n3,32,irregular,2,2,1/2,true,ok\n"
+        "5,32,irregular,4,8,1/2,true,ok\n"
+        "7,32,irregular,2,2,1/2,true,ok\n" % CSV_HEADER)
+
+
 def test_cli_survey_inconclusive_exit(capsys):
     code = main(["survey", "--p", "59", "--N", "1", "--k-max", "2",
                  "--cache", ""])

@@ -17,7 +17,6 @@ from heckeslopes.traceforms import (
     ClassNumberTable,
     charpoly_from_traces,
     default_table,
-    local_embedding_count,
     trace_feasible,
     trace_tn,
 )
@@ -141,8 +140,7 @@ def test_trace_argument_guards():
         trace_tn(0, 11, 2)
     with pytest.raises(ValueError):
         trace_tn(2, 11, 11)     # gcd(n, N) > 1
-    with pytest.raises(ValueError):
-        trace_tn(2, 32, 3)      # 2^5 exceeds the local-table range
+    assert trace_tn(2, 32, 3) == 0  # a 2^5 level is in reach; modsym agrees
     with pytest.raises(ValueError):
         trace_tn(2, 0, 1)
 
@@ -162,23 +160,7 @@ def test_trace_feasibility_rule():
     assert trace_feasible(2, 11, 2)
     assert trace_feasible(12, 1, 13)
     assert trace_feasible(16, 14, 13)       # traces of T_n, n <= 13 * 448^2
-    assert not trace_feasible(2, 32, 3)     # level has a 2^5
-
-
-def test_local_embedding_counts():
-    with pytest.raises(ValueError):
-        local_embedding_count(2, 1, 0, 5)
-    # unramified level: one embedding
-    assert local_embedding_count(5, -1, 2, 0) == 1
-    # nu = 1: split 2, inert 0, ramified 1 at conductor 0; always 2 above
-    assert local_embedding_count(3, 1, 0, 1) == 2
-    assert local_embedding_count(3, -1, 0, 1) == 0
-    assert local_embedding_count(3, 0, 0, 1) == 1
-    assert local_embedding_count(3, 1, 2, 1) == 2
-    # nu = 2 regression values (pinned by cross-engine agreement)
-    assert local_embedding_count(2, 0, 1, 2) == 3
-    assert local_embedding_count(2, -1, 1, 2) == 2
-    assert local_embedding_count(3, 1, 1, 2) == 5
+    assert trace_feasible(2, 32, 3)         # every level is in reach
 
 
 def hecke_power_traces(k, N, p, count, table=None):
@@ -227,5 +209,15 @@ def test_cross_engine_agreement_sample():
             for p in (2, 3):
                 if N % p == 0 or not trace_feasible(k, N, p):
                     continue
+                assert charpoly_from_traces(k, N, p) == \
+                    charpoly_cuspidal(k, N, p), (k, N, p)
+
+
+def test_cross_engine_agreement_at_prime_power_levels():
+    # 2^4..2^7 and 3^3, alone and times 3: Cohen's elliptic term at every level
+    for N in (16, 27, 32, 48, 64, 96, 128):
+        p = next(q for q in (2, 3, 5) if N % q)
+        for k in (2, 4, 6, 8):
+            if dim_cuspforms(k, N) <= 40:
                 assert charpoly_from_traces(k, N, p) == \
                     charpoly_cuspidal(k, N, p), (k, N, p)
