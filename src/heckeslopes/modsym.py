@@ -12,19 +12,20 @@ the projections over one denominator, the lcm of the pivot entries.
 
 The cuspidal subspace is the kernel of the boundary map to star-folded
 cusp classes, and its dimension is asserted against the dimension formula
-on every build.  Hecke operators T_n (and U_p at p | M) act through the
-standard determinant-n family, dropping images whose bottom row is not
-primitive mod M.
+on every build.  T_p at p not dividing M acts through Cremona's Heilbronn
+matrices (nearest-integer continued fractions of r/p); U_p at p | M, and
+T_1, act through Merel's determinant-n family, dropping images whose
+bottom row is not primitive mod M.
 
 Hecke assembly runs in integers.  The projection of each generator to
-the quotient is stored once, over one common denominator.  Every family
-matrix has entries >= 0, so with X = 2^B, Y = 1 the product
-(aX + bY)^i (cX + dY)^(w-i) is one integer whose base-2^B digits are its
-coefficients; these integers are summed over the family per (generator,
-target point), and only then unpacked and projected.  A digit of such a
-sum is at most len(family) * max(a+b, c+d)^w, and 2^B is taken above
-that bound, so digits never carry into each other (a + b reaches 2n - 1,
-so (n + 1)^w would be too small).  The images of the cuspidal basis
+the quotient is stored once, over one common denominator.  With X = 2^B,
+Y = 1 the product (aX + bY)^i (cX + dY)^(w-i) is one integer whose
+signed base-2^B digits are its coefficients; these integers are summed
+over the family per (generator, target point), and only then unpacked
+and projected.  A digit of such a sum has absolute value at most
+len(family) * max(|a| + |b|, |c| + |d|)^w, and 2^(B-1) is taken above
+that bound, so each digit is read exactly from the low end in the
+balanced range [-2^(B-1), 2^(B-1)).  The images of the cuspidal basis
 vectors, each scaled by the lcm of its denominators, are summed in
 integers too, and one SpanSolver per space writes them in that basis.
 
@@ -43,6 +44,7 @@ from .linalg import SparseRREF, SpanSolver, kernel_basis
 
 __all__ = [
     "P1List", "PlusQuotient", "plus_quotient", "charpoly_cuspidal", "merel_family",
+    "heilbronn_cremona",
 ]
 
 
@@ -138,8 +140,10 @@ class _SignedDSU:
 
 
 def merel_family(n):
-    """The standard determinant-n integer matrix family computing T_n on
-    Manin symbols (with the primitivity drop rule at gcd(n, M) > 1)."""
+    """Merel's determinant-n integer matrix family on Manin symbols.
+
+    Serves U_p at p | M, through the primitivity drop rule, and n = 1;
+    T_p at p not dividing M uses heilbronn_cremona(p)."""
     mats = []
     for a in range(1, n + 1):
         for d in range((n + a - 1) // a, n + 2 - a):
@@ -154,6 +158,27 @@ def merel_family(n):
                 for b in range((bc - 1) // (d - 1) + 1, a):
                     if bc % b == 0:
                         mats.append((a, b, bc // b, d))
+    return mats
+
+
+def heilbronn_cremona(p):
+    """Cremona's Heilbronn matrices of determinant p, computing T_p on Manin
+    symbols at levels prime to p: (1,0,0,p), then for each |r| <= p/2 the
+    matrix (p,-r,0,1) and one matrix per nearest-integer continued-fraction
+    step of -p/r (quotients rounded half away from zero)."""
+    if p == 2:
+        return [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
+    mats = [(1, 0, 0, p)]
+    for r in range(-(p // 2), p // 2 + 1):
+        x1, x2, y1, y2, a, b = p, -r, 0, 1, -p, r
+        mats.append((x1, x2, y1, y2))
+        while b:
+            q = (2 * abs(a) + abs(b)) // (2 * abs(b))
+            q = q if (a < 0) == (b < 0) else -q
+            a, b = -b, a - b * q
+            x1, x2 = x2, q * x2 - x1
+            y1, y2 = y2, q * y2 - y1
+            mats.append((x1, x2, y1, y2))
     return mats
 
 
@@ -314,9 +339,10 @@ class PlusQuotient:
         p1 = self.p1
         npts = len(p1)
         D = self.quotient_dim
-        fam = merel_family(n)
-        # 2^B exceeds every digit of the sums below
-        B = (len(fam) * max(max(a + b, c + d) for a, b, c, d in fam) ** w).bit_length()
+        fam = heilbronn_cremona(n) if self.M % n else merel_family(n)
+        # 2^(B-1) exceeds the absolute value of every digit of the sums below
+        B = 1 + (len(fam) * max(max(abs(a) + abs(b), abs(c) + abs(d))
+                                for a, b, c, d in fam) ** w).bit_length()
         roots = [(col,) + divmod(r, npts) for col, r in enumerate(self.free_roots)]
         exps = {i for _, i, _ in roots}
         sums = [{} for _ in range(D)]
@@ -333,13 +359,16 @@ class PlusQuotient:
                     continue  # image not primitive mod M: dropped
                 acc = sums[col]
                 acc[t1] = acc.get(t1, 0) + powA[i] * powC[w - i]
-        mask = (1 << B) - 1
+        mask, top, base = (1 << B) - 1, 1 << (B - 1), 1 << B
         cols = []
         for acc in sums:
             vec = [0] * D
             for t1, packed in acc.items():
                 for j in range(w + 1):
-                    coeff = packed >> (B * j) & mask
+                    coeff = packed & mask
+                    if coeff & top:
+                        coeff -= base
+                    packed = (packed - coeff) >> B
                     if coeff:
                         for fp, fv in self._pi[self._gen(j, t1)].items():
                             vec[fp] += coeff * fv

@@ -17,6 +17,7 @@ from heckeslopes.modsym import (
     P1List,
     PlusQuotient,
     charpoly_cuspidal,
+    heilbronn_cremona,
     merel_family,
     plus_quotient,
 )
@@ -89,10 +90,14 @@ def test_hecke_matrix_matches_fraction_referee():
     # (6, 30) projects its generators over a common denominator of 720
     assert plus_quotient(6, 30)._den > 1
     cases += [(6, 30, 7), (6, 30, 5)]
+    # signed digits about 2^300 wide
+    cases.append((38, 1, 59))
     for k, M, n in sorted(set(cases)):
         space = plus_quotient(k, M)
-        assert space.hecke_matrix(n) == hecke_matrix_reference(
-            space, merel_family(n)), (k, M, n)
+        A = space.hecke_matrix(n)
+        assert A == hecke_matrix_reference(space, merel_family(n)), (k, M, n)
+        if M % n:
+            assert A == hecke_matrix_reference(space, heilbronn_cremona(n)), (k, M, n)
 
 
 def test_merel_family_sizes():
@@ -103,6 +108,16 @@ def test_merel_family_sizes():
     for n in (2, 3, 5, 7):
         for (a, b, c, d) in merel_family(n):
             assert a * d - b * c == n
+
+
+def test_heilbronn_cremona_family():
+    # nearest-integer continued-fraction families used by T_p at p not dividing M
+    sizes = {2: 4, 3: 6, 5: 12, 7: 18, 13: 38, 59: 222}
+    for p, size in sizes.items():
+        fam = heilbronn_cremona(p)
+        assert len(fam) == size
+        assert all(a * d - b * c == p for a, b, c, d in fam), p
+    assert heilbronn_cremona(2) == [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
 
 
 def test_charpoly_cuspidal_pins():
