@@ -3,11 +3,11 @@
 Two independent engines compute det(1 - T_p X) on S_k(Gamma_0(M)): a
 weight-k modular symbols presentation restricted to the cuspidal plus
 subspace, and the Eichler-Selberg trace formula on the new subspaces,
-where a Gram matrix of Hecke traces gives T_p and Newton's identities
-its characteristic polynomial.  On top of them sit Newton polygon slope
-extraction, low-weight regularity verdicts, the level-raising slope
-assembly, and bounded searches for fractional slopes strictly between 0
-and 1.
+where a Gram matrix of Hecke traces gives T_p and the Faddeev-LeVerrier
+recurrence its characteristic polynomial.  On top of them sit Newton
+polygon slope extraction, low-weight regularity verdicts, the
+level-raising slope assembly, and bounded searches for fractional slopes
+strictly between 0 and 1.
 """
 
 from .cache import CacheRecord, CharpolyCache, operator_label

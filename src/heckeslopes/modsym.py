@@ -213,9 +213,6 @@ class PlusQuotient:
 
     # -- presentation ---------------------------------------------------
 
-    def _gen(self, i, t):
-        return i * len(self.p1) + t
-
     def _build_quotient(self):
         k, M, p1 = self.k, self.M, self.p1
         w = k - 2
@@ -225,13 +222,15 @@ class PlusQuotient:
 
         for i in range(w + 1):
             for t, (c, d) in enumerate(p1.points):
-                x = self._gen(i, t)
+                x = i * npts + t
                 # two-term relation: x + (-1)^i (w-i, (d:-c)) = 0
                 t2 = p1.index(d, -c)
-                dsu.union(x, self._gen(w - i, t2), -1 if i % 2 == 0 else 1)
+                dsu.union(x, (w - i) * npts + t2, -1 if i % 2 == 0 else 1)
                 # star fold: x = (-1)^i (i, (-c:d))
                 t3 = p1.index(-c, d)
-                dsu.union(x, self._gen(i, t3), 1 if i % 2 == 0 else -1)
+                dsu.union(x, i * npts + t3, 1 if i % 2 == 0 else -1)
+        # (root, sign) of every generator; a dead root stands for zero
+        roots = [dsu.find(x) for x in range(ncols)]
 
         rref = SparseRREF()
         for i in range(w + 1):
@@ -247,30 +246,27 @@ class PlusQuotient:
                     terms.append((w - i + j, tb, (-1) ** (i + j) * comb(i, j)))
                 row = {}
                 for ii, tt, coeff in terms:
-                    r, s = dsu.find(self._gen(ii, tt))
+                    r, s = roots[ii * npts + tt]
                     if dsu.dead[r]:
                         continue
                     row[r] = row.get(r, 0) + s * coeff
                 if row:
                     rref.add_row(row)
 
-        live = sorted({dsu.find(x)[0] for x in range(ncols)
-                       if not dsu.dead[dsu.find(x)[0]]})
+        live = sorted({r for r, _ in roots if not dsu.dead[r]})
         pivots = rref.rows
         free = [r for r in live if r not in pivots]
         pos = {r: idx for idx, r in enumerate(free)}
 
         self.quotient_dim = len(free)
         self.free_roots = free
-        self._dsu = dsu
 
         # projection of every generator to the quotient, as integers over
         # one common denominator; the rows are primitive, so the lcm of the
         # pivot entries is the lcm of the reduced form's denominators
         den = lcm(*(prow[r] for r, prow in pivots.items()))
         pi = []
-        for x in range(ncols):
-            r, s = dsu.find(x)
+        for r, s in roots:
             if dsu.dead[r]:
                 pi.append({})
                 continue
@@ -370,7 +366,7 @@ class PlusQuotient:
                         coeff -= base
                     packed = (packed - coeff) >> B
                     if coeff:
-                        for fp, fv in self._pi[self._gen(j, t1)].items():
+                        for fp, fv in self._pi[j * npts + t1].items():
                             vec[fp] += coeff * fv
             cols.append(vec)
         return cols

@@ -9,8 +9,9 @@ the Hecke operators T_n with gcd(n, M) = 1 span a commutative algebra of
 dimension dim S_k^new(M) on which the trace form tr(xy) is positive
 definite; its Gram matrix on a basis T_{n_i} turns the traces of
 T_p T_{n_i} T_{n_j} into the matrix of T_p (Belabas-Cohen, "Modular forms
-in Pari/GP", Res. Math. Sci. 2018).  Only traces of T_n for small n are
-needed, so the class number table stays small.
+in Pari/GP", Res. Math. Sci. 2018), whose characteristic polynomial the
+Faddeev-LeVerrier recurrence gives in integers.  The traces read one
+sieved table of Hurwitz class numbers, kept small by small n.
 """
 
 import threading
@@ -40,8 +41,9 @@ class ClassNumberTable:
 
     Builds lazily to the request; a later, larger request rebuilds it at
     least twice as long, and a request beyond `cap` raises
-    TraceBudgetExceeded instead of attempting a hopeless sieve.  Thread
-    safe so parallel surveys can share one instance.
+    TraceBudgetExceeded instead of attempting a hopeless sieve.  Surveys
+    run in processes, each with its own table; the lock only lets a
+    library caller's threads share one instance.
     """
 
     def __init__(self, cap=DISC_CAP_DEFAULT):
@@ -87,15 +89,6 @@ class ClassNumberTable:
         self.ensure(n)
         return self._h6[n]
 
-    def h6_primitive(self, n):
-        """6 * (class number of primitive forms of discriminant -n)."""
-        self.ensure(n)
-        square_primes = [p for p, e in factorize(n).items() if e >= 2]
-        terms = [(1, 1)]
-        for p in square_primes:
-            terms += [(f2 * p * p, -s) for f2, s in terms]
-        return sum(s * self._h6[n // f2] for f2, s in terms)
-
 
 _DEFAULT_TABLE = ClassNumberTable()
 
@@ -130,11 +123,16 @@ def _sigma_phi(e_minus_d, N):
 def trace_tn(k, N, n, table=None):
     """Trace of T_n on S_k(Gamma_0(N)) for gcd(n, N) = 1, k even >= 2.
 
-    Pure class-number arithmetic, valid at every level: the elliptic term
-    is Cohen's (H. Cohen, "Trace des operateurs de Hecke sur Gamma_0(N)",
-    Sem. Theorie des Nombres de Bordeaux 1976-77; Cohen-Stromberg,
-    "Modular Forms: A Classical Approach", GSM 179).  Raises
-    TraceBudgetExceeded when 4n is beyond the table cap.
+    Pure class-number arithmetic, valid at every level.  The elliptic
+    term at D = 4n - t^2 > 0 is Cohen's sum over f^2 | D of
+    h_w(-D/f^2) mu(t, f, n) (H. Cohen, "Trace des operateurs de Hecke sur
+    Gamma_0(N)", Sem. Theorie des Nombres de Bordeaux 1976-77; GSM 179).
+    mu is the product over q^e || N of nu_q(q^j) = psi(q^e)/psi(q^(e-j))
+    #{x mod q^e : x^2 - t x + n = 0 mod q^(e+j)}, q^j = gcd(f, q^e).  As
+    H(D/c^2) sums h_w(-D/f^2) over c | f, Moebius inversion makes the term
+    the sum of lambda(c) H(D/c^2) over c^2 | D built from the q^j, with
+    lambda_q(1) = nu_q(1), lambda_q(q^j) = nu_q(q^j) - nu_q(q^(j-1));
+    at N = 1 it is H(D).  Raises TraceBudgetExceeded if 4n is past the cap.
     """
     if k < 2 or k % 2:
         raise ValueError(f"weight must be even and >= 2, got {k}")
@@ -150,7 +148,7 @@ def trace_tn(k, N, n, table=None):
     table.ensure(4 * n)
 
     psi = psi_index(N)
-    level_parts = [q ** e for q, e in factorize(N).items()]
+    level_parts = [(q, q ** e) for q, e in factorize(N).items()]
 
     # integer sums: total holds 24 times the trace, elliptic 12 times the
     # elliptic sum, so -(1/2) elliptic enters total as -elliptic
@@ -163,29 +161,20 @@ def trace_tn(k, N, n, table=None):
         if D == 0:
             loc = -psi  # 12 * (-psi / 12)
         else:
-            # Cohen: sum over f^2 | D, -D/f^2 a discriminant, of
-            # h_w(-D/f^2) mu(t, f, n), where mu = psi(N)/psi(N/N_f) times
-            # #{x mod N : x^2 - t x + n = 0 mod N N_f}, N_f = gcd(N, f)
-            f0 = 1
-            for q, e in factorize(D).items():
-                f0 *= q ** (e // 2)
-            mu = {}  # N_f -> mu; it depends on f only through N_f
-            acc = 0
-            for f in divisors(f0):
-                Df = D // (f * f)
-                if Df % 4 in (1, 2):
-                    continue
-                g = gcd(N, f)
-                if g not in mu:
-                    # the root count is multiplicative over q^e || N
-                    roots = 1
-                    for Q in level_parts:
-                        K = Q * gcd(g, Q)
-                        roots *= sum(1 for x in range(Q)
-                                     if (x * x - t * x + n) % K == 0)
-                    mu[g] = psi // psi_index(N // g) * roots
-                acc += table.h6_primitive(Df) * mu[g]
-            loc = 2 * acc  # 12 * (acc / 6)
+            terms = [(1, 1)]  # (c^2, lambda(c)) over the q^e || N so far
+            for q, Q in level_parts:
+                roots = [x for x in range(Q) if (x * x - t * x + n) % Q == 0]
+                local, nu_prev, qj = [], 0, 1
+                while Q % qj == 0 and D % (qj * qj) == 0:
+                    count = sum(1 for x in roots
+                                if (x * x - t * x + n) % (Q * qj) == 0)
+                    nu = psi_index(Q) // psi_index(Q // qj) * count
+                    local += [(c2 * qj * qj, lam * (nu - nu_prev))
+                              for c2, lam in terms]
+                    nu_prev, qj = nu, qj * q
+                terms = local
+            # 12 times the term, from h6 = 6 H
+            loc = 2 * sum(lam * table.h6(D // c2) for c2, lam in terms)
         if loc:
             elliptic += weight * _gegenbauer(k, t, n) * loc
 
@@ -239,26 +228,6 @@ def _hecke_product(k, a, b):
     return [(a * b // (d * d), d ** (k - 1)) for d in divisors(gcd(a, b))]
 
 
-def _charpoly_from_power_sums(s):
-    """1 - e_1 X + e_2 X^2 - ... from power sums s_m, m = 1..len(s).
-
-    Newton's identities over exact rationals; every elementary symmetric
-    function must come out integral.
-    """
-    e = [Fraction(1)]
-    for m in range(1, len(s) + 1):
-        acc = Fraction(0)
-        for i in range(1, m + 1):
-            acc += (-1) ** (i - 1) * e[m - i] * s[i - 1]
-        e.append(acc / m)
-    coeffs = []
-    for j, ej in enumerate(e):
-        if ej.denominator != 1:
-            raise ArithmeticError(f"non-integral charpoly coefficient {ej}")
-        coeffs.append((-1) ** j * int(ej))
-    return IntPolynomial(coeffs)
-
-
 def _new_charpoly(k, M, p, tr_new):
     """det(1 - T_p X) on S_k^new(M), p not dividing M.
 
@@ -266,8 +235,11 @@ def _new_charpoly(k, M, p, tr_new):
     gcd(n_i, M) = 1 greedily, keeping each one that raises the rank of
     the Gram matrix G = [tr(T_{n_i} T_{n_j})], held as G = L D L^T, until
     the rank is dim S_k^new(M).  The matrix of T_p on that basis is
-    C = G^-1 [tr(T_p T_{n_i} T_{n_j})], fed to Newton's identities
-    through the power sums tr C^m.
+    C = G^-1 [tr(T_p T_{n_i} T_{n_j})].  For the integer A = den C the
+    Faddeev-LeVerrier recurrence M_1 = I, c_m = -tr(A M_m)/m, M_(m+1) =
+    A M_m + c_m I gives det(1 - C X) = sum c_m X^m / den^m; it raises
+    ArithmeticError unless m den^m | tr(A M_m), i.e. unless the
+    coefficients are integers.
     """
     dim = tr_new(1)
     expected = sum(_beta(M // L) * dim_cuspforms(k, L) for L in divisors(M))
@@ -318,18 +290,24 @@ def _new_charpoly(k, M, p, tr_new):
             z[i] -= sum(lower[j][i] * z[j] for j in range(i + 1, dim))
         cols.append(z)
 
-    # power sums tr C^m over integers: C = A / den
+    # Faddeev-LeVerrier over the integers: C = A / den; AM holds A M_m
     den = lcm(*(c.denominator for col in cols for c in col))
-    A = [[int(cols[j][i] * den) for j in range(dim)] for i in range(dim)]
-    A_cols = list(zip(*A))
-    P = A
-    s = []
+    A_cols = [[int(c * den) for c in col] for col in cols]
+    AM = [list(row) for row in zip(*A_cols)]
+    coeffs = [1]
     for m in range(1, dim + 1):
-        if m > 1:
-            P = [[sum(x * y for x, y in zip(prow, acol)) for acol in A_cols]
-                 for prow in P]
-        s.append(Fraction(sum(P[i][i] for i in range(dim)), den ** m))
-    return _charpoly_from_power_sums(s)
+        if m > 1:  # A M_m = M_m A, M_m = A M_(m-1) + c_(m-1) I
+            AM = [[sum(x * y for x, y in zip(row, acol)) for acol in A_cols]
+                  for row in AM]
+        tr = sum(AM[i][i] for i in range(dim))
+        div = m * den ** m
+        if tr % div:
+            raise ArithmeticError(
+                f"non-integral charpoly coefficient {Fraction(-tr, div)}")
+        coeffs.append(-tr // div)
+        for i in range(dim):
+            AM[i][i] -= tr // m
+    return IntPolynomial(coeffs)
 
 
 def trace_feasible(k, N, p, table=None):

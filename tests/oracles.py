@@ -6,15 +6,18 @@ enumerations (different normal forms from each other and from the
 library's sieve), characteristic polynomials from cofactor expansion and
 from a Hessenberg reduction over Fraction (the package works modulo
 primes), and reduced row echelon forms from dense Gauss-Jordan
-elimination.  Agreement between these and the package is the point of
-the tests, so keep it that way.  Hecke matrices are assembled term by
-term from a built space's presentation, so they referee the assembly,
-not the presentation.
+elimination.  Traces of T_n come from Cohen's formula with its elliptic
+term summed over orders, primitive forms of discriminant -D/f^2 times
+mu(t, f, n), where the package sums Hurwitz numbers.  Agreement between
+these and the package is the point of the tests, so keep it that way.
+Hecke matrices are assembled term by term from a built space's
+presentation, so they referee the assembly, not the presentation.
 P^1(Z/M) points are reduced one pair at a time by extended gcds, where
 the package scans unit orbits.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 
@@ -128,6 +131,97 @@ def hurwitz_class_number(n):
                 total += 1
         a += 1
     return total
+
+
+@lru_cache(maxsize=None)
+def primitive_class_weight(n):
+    """Weighted count of reduced primitive forms of discriminant -n."""
+    total = Fraction(0)
+    a = 1
+    while 3 * a * a <= n:
+        for b in range(-a + 1, a + 1):
+            num = b * b + n
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a or (b < 0 and a == c):
+                continue
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            if a == b == c:
+                total += Fraction(1, 3)
+            elif b == 0 and a == c:
+                total += Fraction(1, 2)
+            else:
+                total += 1
+        a += 1
+    return total
+
+
+# ----------------------------------------------------------------------
+# traces of T_n on S_k(Gamma_0(N)), gcd(n, N) = 1, by Cohen's formula
+
+def _psi(N):
+    """Index of Gamma_0(N): N times prod (1 + 1/q) over primes q | N."""
+    out, m, q = Fraction(N), N, 2
+    while m > 1:
+        if m % q == 0:
+            out *= Fraction(q + 1, q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return out
+
+
+def _phi(m):
+    return sum(1 for x in range(1, m + 1) if gcd(x, m) == 1)
+
+
+@lru_cache(maxsize=None)
+def elliptic_term_reference(N, t, n):
+    """Cohen's sum over f^2 | 4n - t^2 > 0, -(4n - t^2)/f^2 a discriminant,
+    of h_w((t^2 - 4n)/f^2) mu(t, f, n), with primitive forms counted
+    directly; mu = psi(N)/psi(N/N_f) #{x mod N : x^2 - t x + n = 0 mod N N_f},
+    N_f = gcd(N, f).
+    """
+    D = 4 * n - t * t
+    total = Fraction(0)
+    for f in range(1, isqrt(D) + 1):
+        if D % (f * f) or (D // (f * f)) % 4 in (1, 2):
+            continue
+        g = gcd(N, f)
+        roots = sum(1 for x in range(N) if (x * x - t * x + n) % (N * g) == 0)
+        mu = _psi(N) / _psi(N // g) * roots
+        total += primitive_class_weight(D // (f * f)) * mu
+    return total
+
+
+def trace_reference(k, N, n):
+    """tr T_n on S_k(Gamma_0(N)) for gcd(n, N) = 1 and even k >= 2."""
+    def p_k(t):
+        # coefficient of x^(k-2) in 1 / (1 - t x + n x^2)
+        c = [1, t]
+        while len(c) < k - 1:
+            c.append(t * c[-1] - n * c[-2])
+        return c[k - 2]
+
+    trace = Fraction(0)
+    r = isqrt(n)
+    if r * r == n:
+        trace += Fraction(k - 1, 12) * _psi(N) * r ** (k - 2)
+    for t in range(-isqrt(4 * n), isqrt(4 * n) + 1):
+        if t * t < 4 * n:
+            trace -= p_k(t) * elliptic_term_reference(N, t, n) / 2
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        e = n // d
+        local = sum(_phi(gcd(tau, N // tau)) for tau in range(1, N + 1)
+                    if N % tau == 0 and (e - d) % gcd(tau, N // tau) == 0)
+        trace -= Fraction(min(d, e) ** (k - 1) * local, 2)
+    if k == 2:
+        trace += sum(d for d in range(1, n + 1) if n % d == 0)
+    return trace
 
 
 # ----------------------------------------------------------------------

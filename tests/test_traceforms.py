@@ -1,11 +1,12 @@
 """Tests for the class-number trace engine.
 
 Hurwitz numbers are checked against an independent reduced-form count,
-traces against q-expansion oracles and the Manin-symbol engine.
+traces against q-expansion oracles, Cohen's formula summed over
+primitive forms, and the Manin-symbol engine.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -15,6 +16,7 @@ from heckeslopes.exact import IntPolynomial
 from heckeslopes.modsym import charpoly_cuspidal, plus_quotient
 from heckeslopes.traceforms import (
     ClassNumberTable,
+    _new_charpoly,
     charpoly_from_traces,
     default_table,
     trace_feasible,
@@ -26,31 +28,9 @@ from oracles import (
     eta_space_coefficient,
     hurwitz_class_number,
     hurwitz_reference,
+    primitive_class_weight,
+    trace_reference,
 )
-
-
-def primitive_class_weight(n):
-    """Weighted count of reduced primitive forms of discriminant -n."""
-    total = Fraction(0)
-    a = 1
-    while 3 * a * a <= n:
-        for b in range(-a + 1, a + 1):
-            num = b * b + n
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a or (b < 0 and a == c):
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            if a == b == c:
-                total += Fraction(1, 3)
-            elif b == 0 and a == c:
-                total += Fraction(1, 2)
-            else:
-                total += 1
-        a += 1
-    return total
 
 
 def test_hurwitz_spot_values():
@@ -89,20 +69,28 @@ def test_table_grows_to_the_request():
     assert 150_000 <= table.limit < table.cap
 
 
-def test_primitive_class_numbers():
-    table = default_table()
-    # fundamental discriminants: all forms are primitive
+def test_trace_matches_primitive_form_reference():
+    # the oracle's primitive-form count: fundamental discriminants count
+    # every form, imprimitive classes are removed (-12 = -3 * 2^2, ...),
+    # and over f^2 | n the counts add up to the Hurwitz number
     for n, h in [(3, Fraction(1, 3)), (4, Fraction(1, 2)), (7, 1), (8, 1),
-                 (11, 1), (15, 2), (20, 2), (23, 3)]:
-        assert table.h6_primitive(n) == 6 * h
-    # imprimitive classes are removed: -12 = -3 * 2^2, -27 = -3 * 3^2
-    assert table.h6_primitive(12) == 6
-    assert table.h6_primitive(16) == 6
-    assert table.h6_primitive(27) == 6
+                 (11, 1), (15, 2), (20, 2), (23, 3), (12, 1), (16, 1),
+                 (27, 1)]:
+        assert primitive_class_weight(n) == h, n
     for n in range(1, 301):
         if n % 4 in (1, 2):
             continue
-        assert table.h6_primitive(n) == 6 * primitive_class_weight(n), n
+        assert hurwitz_class_number(n) == sum(
+            primitive_class_weight(n // (f * f))
+            for f in range(1, isqrt(n) + 1)
+            if n % (f * f) == 0 and (n // (f * f)) % 4 in (0, 3)), n
+    # Hurwitz numbers with Moebius weights against the per-order sum
+    for N in sorted(set(range(1, 41)) | {64, 81, 128, 243}):
+        for k in (2, 4, 8):
+            for n in range(1, 26):
+                if gcd(n, N) == 1:
+                    assert trace_tn(k, N, n) == trace_reference(k, N, n), \
+                        (k, N, n)
 
 
 def test_trace_pins():
@@ -201,6 +189,32 @@ def test_charpoly_from_traces_pins():
     assert charpoly_from_traces(12, 1, 2) == IntPolynomial([1, 24])
     assert charpoly_from_traces(10, 1, 3) == IntPolynomial([1])
     assert charpoly_from_traces(2, 11, 3) == IntPolynomial([1, 1])
+
+
+def _two_dim_traces(k, P2, P3):
+    """tr T_n, n | 12, on a 2-dim Hecke algebra with T_2 = P2, T_3 = P3."""
+    def mul(X, Y):
+        return [[sum(X[i][t] * Y[t][j] for t in range(2)) for j in range(2)]
+                for i in range(2)]
+    T4 = mul(P2, P2)
+    T4 = [[T4[i][j] - (2 ** (k - 1) if i == j else 0) for j in range(2)]
+          for i in range(2)]
+    mats = {1: [[1, 0], [0, 1]], 2: P2, 3: P3, 4: T4, 6: mul(P2, P3),
+            12: mul(T4, P3)}
+    return lambda n: mats[n][0][0] + mats[n][1][1]
+
+
+def test_new_charpoly_integer_recurrence():
+    # stand-ins for S_24(1), basis T_1, T_2; T_3 has charpoly X^2 - 2X - 2
+    # and, on the basis, denominator 2 (T_2 = 2 T_3)
+    half = Fraction(1, 2)
+    P3 = [[1, 3 * half], [2, 1]]
+    tr = _two_dim_traces(24, [[2, 3], [4, 2]], P3)
+    assert _new_charpoly(24, 1, 3, tr) == IntPolynomial([1, -2, -2])
+    # X^2 - 2X + 1/2: the linear coefficient is integral, the constant not
+    P3 = [[1, half], [1, 1]]
+    with pytest.raises(ArithmeticError):
+        _new_charpoly(24, 1, 3, _two_dim_traces(24, P3, P3))
 
 
 def test_cross_engine_agreement_sample():
