@@ -3,10 +3,12 @@ polynomial algorithm.
 
 SparseRREF is the only Gaussian elimination.  It is fraction-free
 (Bareiss, Math. Comp. 22, 1968): it stores primitive integer rows, which
-the modular-symbols presentation reads directly; kernel_basis reads
-kernel bases off its reduced form, and SpanSolver solves in the span of
-a fixed family by eliminating the family augmented with an identity
-block.
+the modular-symbols presentation reads directly.  Rows are kept in
+echelon form as they arrive and back-substituted once, from the last
+pivot, when the form is next read, so each stored row is rewritten once
+per read rather than once per later pivot.  kernel_basis reads kernel
+bases off the reduced form, and SpanSolver solves in the span of a fixed
+family by eliminating the family augmented with an identity block.
 
 charpoly_monic is multimodular (Stein, Modular Forms: A Computational
 Approach, GSM 79) and takes one bound: the caller promises an integral
@@ -23,12 +25,14 @@ one further prime; a mismatch means the promise was broken and raises
 ArithmeticError.
 
 Everything is deterministic: the pivot of a new row is its smallest
-column and every pivot row is fully reduced, so the echelon form is the
+column once reduced, and every read sees fully reduced pivot rows, the
 unique reduced row echelon form of the row span, whatever the insertion
-order; the primes are the same on every run.
+order and however reads and inserts interleave; the primes are the same
+on every run.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import comb, gcd, lcm
 from operator import mul, sub
@@ -199,46 +203,93 @@ def _make_primitive(row):
             row[k] //= g
 
 
-class SparseRREF:
-    """Incremental reduced echelon form for sparse integer/rational rows.
+def _clear_pivots(w, hits, rows):
+    """(s * w minus multiples of rows[c], s) for the pivots c in hits, zero there.
 
-    Rows are dicts {column: coefficient}.  rows holds one integer row per
-    pivot column: primitive (entry gcd 1), positive at the pivot, which is
-    its smallest column, and zero at every other pivot column.  The
-    reduced echelon row is that row divided by its pivot entry.
+    Each rows[c] is zero at every pivot column but c, so scaling w once by
+    the lcm s of their pivot entries keeps every step integral.
+    """
+    scale = lcm(*(rows[c][c] for c in hits))
+    if scale != 1:
+        w = {k: v * scale for k, v in w.items()}
+    for c in hits:
+        _sub_multiple(w, w[c] // rows[c][c], rows[c])
+    return w, scale
+
+
+class SparseRREF:
+    """Reduced echelon form of the span of sparse integer/rational rows.
+
+    Rows are dicts {column: coefficient}.  add_row keeps an echelon form:
+    one integer row per pivot column, primitive (entry gcd 1) and positive
+    at the pivot, which is its smallest column.  The first read of rows,
+    pivot_rows or reduce_vector after an insert back-substitutes once,
+    from the last pivot, so that every row is also zero at the other
+    pivot columns: the unique reduced echelon form of the span, each row
+    scaled to a primitive integer row.
     """
 
     def __init__(self):
-        self.rows = {}  # pivot column -> primitive integer row
+        self._rows = {}  # pivot column -> primitive integer row
+        self._reduced = True
 
     def add_row(self, row):
-        """Reduce row and absorb it; returns the new pivot column or None.
+        """Absorb row into the echelon form; returns the new pivot column or None.
 
-        The reduced row is made primitive, with pivot entry a > 0; each
-        stored row with entry f at the new pivot becomes a * prow - f * row
-        divided by its content.
+        The row is reduced from its smallest column up, while that column
+        is a pivot: with pivot entry a and entry f there, it becomes
+        (a * row - f * prow) / gcd(a, f).  The first non-pivot column left
+        is the new pivot, and the row is stored there, made primitive.
         """
-        vec, _ = self._reduce(row)
-        if not vec:
-            return None
-        _make_primitive(vec)
-        c = min(vec)
-        a = vec[c]
-        for prow in self.rows.values():
-            f = prow.get(c)
-            if f:
-                h = gcd(a, f)
-                if a != h:
-                    for k in prow:
-                        prow[k] *= a // h
-                _sub_multiple(prow, f // h, vec)
-                _make_primitive(prow)
-        self.rows[c] = vec
-        return c
+        den = lcm(*(v.denominator for v in row.values()))
+        vec = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        rows = self._rows
+        cols = list(vec)
+        heapify(cols)
+        while cols:
+            c = heappop(cols)
+            f = vec.get(c)
+            if not f:
+                continue  # cancelled, or a column pushed twice
+            prow = rows.get(c)
+            if prow is None:
+                _make_primitive(vec)
+                rows[c] = vec
+                self._reduced = False
+                return c
+            a = prow[c]
+            h = gcd(a, f)
+            if a != h:
+                m = a // h
+                vec = {k: v * m for k, v in vec.items()}
+            for k in prow.keys() - vec.keys():
+                heappush(cols, k)
+            _sub_multiple(vec, f // h, prow)
+            g = gcd(*vec.values())
+            if g > 1:
+                vec = {k: v // g for k, v in vec.items()}
+        return None
+
+    @property
+    def rows(self):
+        """pivot column -> primitive integer row of the reduced echelon form."""
+        if not self._reduced:
+            rows = self._rows
+            # the rows of later pivots are reduced already, and each is zero
+            # at every other pivot column
+            for c in sorted(rows, reverse=True):
+                row = rows[c]
+                hits = [k for k in row if k != c and k in rows]
+                if hits:
+                    row, _ = _clear_pivots(row, hits, rows)
+                    _make_primitive(row)
+                    rows[c] = row
+            self._reduced = True
+        return self._rows
 
     @property
     def pivot_columns(self):
-        return sorted(self.rows)
+        return sorted(self._rows)
 
     @property
     def pivot_rows(self):
@@ -246,27 +297,17 @@ class SparseRREF:
         return {c: {k: Fraction(v, row[c]) for k, v in row.items()}
                 for c, row in self.rows.items()}
 
-    def _reduce(self, vec):
-        """(w, den) with w integral and w / den the image of vec.
-
-        A pivot row is zero at every other pivot column, so vec scaled
-        once by the lcm of the pivot entries it meets reduces in integers.
-        """
-        den = lcm(*(v.denominator for v in vec.values()))
-        hits = sorted(c for c, v in vec.items() if v and c in self.rows)
-        scale = lcm(*(self.rows[c][c] for c in hits))
-        w = {c: v.numerator * (den // v.denominator) * scale for c, v in vec.items() if v}
-        for c in hits:
-            _sub_multiple(w, w[c] // self.rows[c][c], self.rows[c])
-        return w, den * scale
-
     def reduce_vector(self, vec):
         """Image of a sparse vector in the quotient by the row span.
 
         Eliminates pivot coordinates, leaving a vector supported on free
         columns only; its entries are Fractions.
         """
-        w, den = self._reduce(vec)
+        rows = self.rows
+        den = lcm(*(v.denominator for v in vec.values()))
+        w = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
+        w, scale = _clear_pivots(w, [c for c in w if c in rows], rows)
+        den *= scale
         return {k: Fraction(v, den) for k, v in w.items()}
 
 

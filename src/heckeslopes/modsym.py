@@ -10,6 +10,18 @@ three-term relations go through fraction-free sparse row reduction (a
 quarter of the naive column count), whose primitive integer rows give
 the projections over one denominator, the lcm of the pivot entries.
 
+The three-term relations R(x) = x + x.tau + x.tau^2 are written only for
+the symbols at one point per orbit of <tau, eta> on P^1(Z/M), with
+tau = [0,-1;1,-1] acting as (c:d) -> (d:-c-d) and eta as (c:d) -> (d:c);
+eta tau eta = tau^-1, so an orbit has at most six points.  Their span
+is unchanged.  As tau^3 = 1 up to the -1 that even weight ignores,
+R(x.tau) = R(x), and x.tau runs over the symbols at tau(t) as x runs
+over those at t.  With sigma = [0,-1;1,0] and J = [-1,0;0,1],
+J tau J = sigma tau^2 sigma^-1, so modulo the two-term (y.sigma = -y)
+and star (y.J = y) relations R(x.J) = -R(x.sigma); for x.sigma in place
+of x this says that the relations at eta(t), the point of x.sigma.J,
+are those at t.
+
 The cuspidal subspace is the kernel of the boundary map to star-folded
 cusp classes, and its dimension is asserted against the dimension formula
 on every build.  T_p at p not dividing M acts through Cremona's Heilbronn
@@ -218,35 +230,54 @@ class PlusQuotient:
         w = k - 2
         npts = len(p1)
         ncols = (w + 1) * npts
-        dsu = _SignedDSU(ncols)
+        # the point maps of sigma = [0,-1;1,0], J = [-1,0;0,1] and tau, tau^2
+        # for tau = [0,-1;1,-1], acting on row vectors (c, d)
+        index, pts = p1.index, p1.points
+        sig = [index(d, -c) for c, d in pts]
+        jay = [index(-c, d) for c, d in pts]
+        tau = [index(d, -c - d) for c, d in pts]
+        tau2 = [index(-c - d, c) for c, d in pts]
 
+        dsu = _SignedDSU(ncols)
+        # each involution pair is united from its smaller end; the call from
+        # the other end would come later and change nothing
         for i in range(w + 1):
-            for t, (c, d) in enumerate(p1.points):
+            even = 1 if i % 2 == 0 else -1
+            for t in range(npts):
                 x = i * npts + t
                 # two-term relation: x + (-1)^i (w-i, (d:-c)) = 0
-                t2 = p1.index(d, -c)
-                dsu.union(x, (w - i) * npts + t2, -1 if i % 2 == 0 else 1)
+                y = (w - i) * npts + sig[t]
+                if x <= y:
+                    dsu.union(x, y, -even)
                 # star fold: x = (-1)^i (i, (-c:d))
-                t3 = p1.index(-c, d)
-                dsu.union(x, i * npts + t3, 1 if i % 2 == 0 else -1)
+                y = i * npts + jay[t]
+                if x <= y:
+                    dsu.union(x, y, even)
         # (root, sign) of every generator; a dead root stands for zero
         roots = [dsu.find(x) for x in range(ncols)]
 
+        # one point per orbit of <tau, eta>, eta = (c:d) -> (d:c) (see the
+        # module docstring); eta tau eta = tau^-1, so the orbit of t is
+        # t, tau t, tau^2 t and their eta images
+        reps, seen = [], [False] * npts
+        for t in range(npts):
+            if not seen[t]:
+                reps.append(t)
+                for u in (t, tau[t], tau2[t]):
+                    seen[u] = seen[jay[sig[u]]] = True
+
         rref = SparseRREF()
         for i in range(w + 1):
-            for t, (c, d) in enumerate(p1.points):
-                # three-term relation x + x.tau + x.tau^2 = 0 written out on
-                # generators (weight factors from the polynomial action)
-                terms = [(i, p1.index(c, d), 1)]
-                ta = p1.index(d, -c - d)
-                for j in range(w - i + 1):
-                    terms.append((j, ta, (-1) ** j * comb(w - i, j)))
-                tb = p1.index(-c - d, c)
-                for j in range(i + 1):
-                    terms.append((w - i + j, tb, (-1) ** (i + j) * comb(i, j)))
+            # three-term relation x + x.tau + x.tau^2 = 0 written out on
+            # generators (weight factors from the polynomial action)
+            weights = ([(i, 0, 1)]
+                       + [(j, 1, (-1) ** j * comb(w - i, j)) for j in range(w - i + 1)]
+                       + [(w - i + j, 2, (-1) ** (i + j) * comb(i, j)) for j in range(i + 1)])
+            for t in reps:
+                at = (t, tau[t], tau2[t])
                 row = {}
-                for ii, tt, coeff in terms:
-                    r, s = roots[ii * npts + tt]
+                for ii, m, coeff in weights:
+                    r, s = roots[ii * npts + at[m]]
                     if dsu.dead[r]:
                         continue
                     row[r] = row.get(r, 0) + s * coeff

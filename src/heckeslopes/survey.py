@@ -21,8 +21,6 @@ _cell alone decides how a value is spelled in each format.
 
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,6 +123,10 @@ def run_survey(config, store=None):
             else:
                 pairs.append((p, N))
     if config.workers > 1 and pairs:
+        # imported here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         jobs = []
         for p, N in pairs:
             seed = tuple(rec for key, rec in store.records.items()

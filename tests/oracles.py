@@ -13,7 +13,10 @@ these and the package is the point of the tests, so keep it that way.
 Hecke matrices are assembled term by term from a built space's
 presentation, so they referee the assembly, not the presentation.
 P^1(Z/M) points are reduced one pair at a time by extended gcds, where
-the package scans unit orbits.
+the package scans unit orbits.  The Manin-symbol relations are written
+out in full, one of each kind per symbol, from the matrix action on
+polynomials and points, where the package unites two-term and star pairs
+and writes three-term relations at one point per orbit.
 """
 
 from fractions import Fraction
@@ -499,3 +502,49 @@ def p1_reference(M):
     points = sorted({r for r in reps.values() if r is not None})
     pos = {pt: i for i, pt in enumerate(points)}
     return points, {uv: pos[r] for uv, r in reps.items() if r is not None}
+
+
+# ----------------------------------------------------------------------
+# Manin-symbol relations written out in full
+
+def manin_relations(k, M):
+    """(ncols, two-term and star rows, three-term rows) on raw Manin symbols.
+
+    The symbol [X^i Y^(w-i), (c:d)], w = k - 2, is column i * n + t, where
+    t indexes the point (c:d) among p1_reference(M)'s n points.  A matrix
+    g = [a,b;c',d'] acts on the right: the polynomial becomes
+    P(aX + bY, c'X + d'Y) and the point (c:d) the row vector (c, d) g.
+    With sigma = [0,-1;1,0], J = [-1,0;0,1] and tau = [0,-1;1,-1], the rows
+    are x + x.sigma, x - x.J and x + x.tau + x.tau^2 for every symbol x,
+    none of them reduced by any other.
+    """
+    points, table = p1_reference(M)
+    n, w = len(points), k - 2
+
+    def act(i, t, g):
+        a, b, c, d = g
+        u, v = points[t]
+        t1 = table[(u * a + v * c) % M, (u * b + v * d) % M]
+        first, second = _binomial_powers(a, b, w)[i], _binomial_powers(c, d, w)[w - i]
+        poly = [0] * (w + 1)
+        for j, x in enumerate(first):
+            for m, y in enumerate(second):
+                poly[j + m] += x * y
+        return [(j * n + t1, x) for j, x in enumerate(poly) if x]
+
+    def relation(*parts):
+        row = {}
+        for sign, terms in parts:
+            for col, x in terms:
+                row[col] = row.get(col, 0) + sign * x
+        return {col: x for col, x in row.items() if x}
+
+    sigma, jay, tau, tau2 = (0, -1, 1, 0), (-1, 0, 0, 1), (0, -1, 1, -1), (-1, 1, -1, 0)
+    two, three = [], []
+    for i in range(w + 1):
+        for t in range(n):
+            x = [(i * n + t, 1)]
+            two.append(relation((1, x), (1, act(i, t, sigma))))
+            two.append(relation((1, x), (-1, act(i, t, jay))))
+            three.append(relation((1, x), (1, act(i, t, tau)), (1, act(i, t, tau2))))
+    return (w + 1) * n, two, three

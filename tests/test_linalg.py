@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 
@@ -153,6 +154,36 @@ def test_sparse_rref_matches_dense():
             j: x for j, x in enumerate(image) if x}
         outside += any(image)
     assert outside >= 20
+
+
+def test_sparse_rref_reads_between_inserts():
+    # every read of rows, pivot_rows or reduce_vector must see the reduced
+    # form of all rows added so far, however reads and inserts interleave
+    rng = random.Random(16)
+    for _ in range(30):
+        ncols = rng.randint(3, 10)
+        dense = []
+        sparse = SparseRREF()
+        for _ in range(rng.randint(2, 5)):
+            for _ in range(rng.randint(1, 4)):
+                row = {rng.randrange(ncols): rng.randint(-9, 9) for _ in range(rng.randint(1, 4))}
+                dense.append([row.get(c, 0) for c in range(ncols)])
+                sparse.add_row(row)
+            mat, pivots = rref(dense, ncols)
+            if rng.random() < 0.5:
+                assert sorted(sparse.rows) == pivots
+                assert [[Fraction(sparse.rows[c].get(j, 0), sparse.rows[c][c])
+                         for j in range(ncols)] for c in pivots] == mat
+                for c, row in sparse.rows.items():
+                    assert min(row) == c and row[c] > 0 and gcd(*row.values()) == 1
+            else:
+                vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ncols)]
+                image = [vec[j] - sum(vec[c] * mat[i][j] for i, c in enumerate(pivots))
+                         for j in range(ncols)]
+                assert sparse.reduce_vector(dict(enumerate(vec))) == {
+                    j: x for j, x in enumerate(image) if x}
+            assert [[sparse.pivot_rows[c].get(j, 0) for j in range(ncols)]
+                    for c in pivots] == mat
 
 
 def test_span_solver_roundtrip():

@@ -28,6 +28,7 @@ from oracles import (
     delta_coefficients,
     eta_space_coefficient,
     hecke_matrix_reference,
+    manin_relations,
     p1_reference,
     rref,
 )
@@ -265,6 +266,29 @@ def test_presentation_matches_dense_rref(k, M, monkeypatch):
     for row, j in zip(mat, pivots):
         assert space._pi[cols[j]] == {pos[cols[c]]: -x * space._den
                                       for c, x in enumerate(row) if x and c != j}
+
+
+@pytest.mark.parametrize("k, M", [(2, 7), (2, 13), (2, 21), (6, 30), (12, 70)])
+def test_every_relation_projects_to_zero(k, M):
+    # the relations are written at one point per <tau, eta>-orbit, but the
+    # projection must kill every relation on every symbol; levels 7, 13 and
+    # 21 have points fixed by tau
+    space = plus_quotient(k, M)
+    _, two, three = manin_relations(k, M)
+    assert len(three) == (k - 1) * len(space.p1)
+    for rel in two + three:
+        image = {}
+        for col, x in rel.items():
+            for fp, fv in space._pi[col].items():
+                image[fp] = image.get(fp, 0) + x * fv
+        assert not any(image.values()), rel
+
+
+@pytest.mark.parametrize("k, M", [(2, 7), (2, 13), (2, 21), (4, 11), (6, 9), (8, 1), (4, 12)])
+def test_quotient_dim_is_nullity_of_every_relation(k, M):
+    ncols, two, three = manin_relations(k, M)
+    _, pivots = rref([[rel.get(c, 0) for c in range(ncols)] for rel in two + three], ncols)
+    assert PlusQuotient(k, M).quotient_dim == ncols - len(pivots)
 
 
 def test_presentation_is_deterministic():

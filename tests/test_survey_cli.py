@@ -231,7 +231,7 @@ def test_pool_is_no_larger_than_the_grid(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr("heckeslopes.survey.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     result = run_survey(SurveyConfig(primes=(2,), levels=(11,), workers=64))
     assert sizes == [1]
     assert render(result, "csv") == "%s\n2,11,irregular,2,2,1/2,true,ok\n" % CSV_HEADER
@@ -255,7 +255,7 @@ def test_dead_worker_quarantines_the_missing_pairs(monkeypatch, tmp_path, capsys
             yield fn(next(iter(jobs)))
             raise BrokenProcessPool("fabricated death")
 
-    monkeypatch.setattr("heckeslopes.survey.ProcessPoolExecutor", DyingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", DyingPool)
     store = CharpolyCache()
     result = run_survey(SurveyConfig(primes=(2,), levels=(11, 13, 15), k_max=4, workers=2),
                         store)
