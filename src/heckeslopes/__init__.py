@@ -16,11 +16,10 @@ from .errors import ConsistencyError, TraceBudgetExceeded
 from .exact import (INFINITY, IntPolynomial, NewtonPolygon, SlopeMultiset,
                     inverse_charpoly, newton_slopes, valuation)
 from .modsym import charpoly_cuspidal, plus_quotient
-from .slopes import (HeckeContext, P2Report, RegularityVerdict, UpSlopeAssembly,
-                     Witness, default_witness_bound, find_fractional_witness,
-                     is_regular, p2_refinement_check, refinement_pair,
-                     regularity_weight_range, tp_slopes, up_assembly,
-                     up_slopes_direct, witness_label)
+from .slopes import (HeckeContext, RegularityVerdict, UpSlopeAssembly, Witness,
+                     default_witness_bound, find_fractional_witness, is_regular,
+                     refinement_pair, regularity_weight_range, tp_slopes,
+                     up_assembly, up_slopes_direct, witness_label)
 from .survey import (COLUMNS, CSV_HEADER, ReportRow, SurveyConfig, SurveyResult,
                      compute_pair, render_report, run_survey)
 from .traceforms import (ClassNumberTable, charpoly_from_traces, default_table,
@@ -35,11 +34,10 @@ __all__ = [
     "INFINITY", "IntPolynomial", "NewtonPolygon", "SlopeMultiset",
     "inverse_charpoly", "newton_slopes", "valuation",
     "charpoly_cuspidal", "plus_quotient",
-    "HeckeContext", "P2Report", "RegularityVerdict", "UpSlopeAssembly",
+    "HeckeContext", "RegularityVerdict", "UpSlopeAssembly",
     "Witness", "default_witness_bound", "find_fractional_witness",
-    "is_regular", "p2_refinement_check",
-    "refinement_pair", "regularity_weight_range", "tp_slopes", "up_assembly",
-    "up_slopes_direct", "witness_label",
+    "is_regular", "refinement_pair", "regularity_weight_range", "tp_slopes",
+    "up_assembly", "up_slopes_direct", "witness_label",
     "COLUMNS", "CSV_HEADER", "ReportRow", "SurveyConfig", "SurveyResult",
     "compute_pair", "render_report", "run_survey",
     "ClassNumberTable", "charpoly_from_traces", "default_table",

@@ -8,7 +8,7 @@ bookkeeping behind old/new decompositions at level N*p.
 from math import gcd
 
 from .errors import ConsistencyError
-from .exact import divisors, euler_phi, factorize, kronecker
+from .exact import divisors, euler_phi, factorize
 
 __all__ = [
     "psi_index", "nu2", "nu3", "nu_infinity", "genus",
@@ -34,7 +34,7 @@ def nu2(N):
     for p in factorize(N):
         if p == 2:
             continue
-        out *= 1 + kronecker(-1, p)
+        out *= 2 if p % 4 == 1 else 0  # 1 + (-1|p)
     return out
 
 
@@ -46,7 +46,7 @@ def nu3(N):
     for p in factorize(N):
         if p == 3:
             continue
-        out *= 1 + kronecker(-3, p)
+        out *= 2 if p % 3 == 1 else 0  # 1 + (-3|p)
     return out
 
 

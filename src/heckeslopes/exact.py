@@ -10,12 +10,12 @@ from fractions import Fraction
 __all__ = [
     "INFINITY", "IntPolynomial", "NewtonPolygon", "SlopeMultiset",
     "valuation", "newton_slopes", "inverse_charpoly",
-    "is_prime", "kronecker", "factorize", "divisors", "euler_phi",
+    "is_prime", "factorize", "divisors", "euler_phi",
 ]
 
 
 # ----------------------------------------------------------------------
-# primes, symbols, factoring
+# primes and factoring
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -42,36 +42,6 @@ def is_prime(n):
         else:
             return False
     return True
-
-
-def kronecker(a, n):
-    """Kronecker symbol (a|n)."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    # pull out the even part of n; (a|2) = 0, 1, -1 for a even / a = +-1 (8) / a = +-3 (8)
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # Jacobi symbol by quadratic reciprocity
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
 
 
 def factorize(n):
@@ -317,9 +287,6 @@ class SlopeMultiset:
         for s, m in self.entries:
             out.extend([s] * m)
         return out
-
-    def union(self, other):
-        return SlopeMultiset(self.entries + other.entries)
 
     def in_open_interval(self, lo, hi):
         """Sub-multiset of slopes strictly between lo and hi."""

@@ -24,10 +24,13 @@ are those at t.
 
 The cuspidal subspace is the kernel of the boundary map to star-folded
 cusp classes, and its dimension is asserted against the dimension formula
-on every build.  T_p at p not dividing M acts through Cremona's Heilbronn
-matrices (nearest-integer continued fractions of r/p); U_p at p | M, and
-T_1, act through Merel's determinant-n family, dropping images whose
-bottom row is not primitive mod M.
+on every build.  T_p at p not dividing M and U_p at p | M both act through
+Cremona's Heilbronn matrices (nearest-integer continued fractions of r/p),
+dropping images whose bottom row is not primitive mod M.  One family
+serves both because it satisfies Merel's criterion for acting as T_p on
+Manin symbols at every level with that drop ("Universal Fourier
+expansions of modular forms", LNM 1585, 1994).  Merel's own
+determinant-p family satisfies it too and is the tests' referee.
 
 Hecke assembly runs in integers.  The projection of each generator to
 the quotient is stored once, over one common denominator.  With X = 2^B,
@@ -154,8 +157,10 @@ class _SignedDSU:
 def merel_family(n):
     """Merel's determinant-n integer matrix family on Manin symbols.
 
-    Serves U_p at p | M, through the primitivity drop rule, and n = 1;
-    T_p at p not dividing M uses heilbronn_cremona(p)."""
+    The Hecke assembly does not use it (heilbronn_cremona is smaller).
+    It stays for two callers: the tests referee the assembly against it,
+    and the benchmark's tracer (perfbench/traced_cli.py) wraps it by name.
+    """
     mats = []
     for a in range(1, n + 1):
         for d in range((n + a - 1) // a, n + 2 - a):
@@ -174,10 +179,13 @@ def merel_family(n):
 
 
 def heilbronn_cremona(p):
-    """Cremona's Heilbronn matrices of determinant p, computing T_p on Manin
-    symbols at levels prime to p: (1,0,0,p), then for each |r| <= p/2 the
+    """Cremona's Heilbronn matrices of determinant p (Algorithms for Modular
+    Elliptic Curves, 1997, 2.4): (1,0,0,p), then for each |r| <= p/2 the
     matrix (p,-r,0,1) and one matrix per nearest-integer continued-fraction
-    step of -p/r (quotients rounded half away from zero)."""
+    step of -p/r (quotients rounded half away from zero).
+
+    They compute T_p on Manin symbols at levels prime to p, and U_p at
+    p | M once images not primitive mod M are dropped."""
     if p == 2:
         return [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
     mats = [(1, 0, 0, p)]
@@ -356,8 +364,9 @@ class PlusQuotient:
 
     # -- Hecke action ----------------------------------------------------
 
-    def _quotient_hecke_columns(self, n):
-        """Images of the free generators under T_n, in quotient coordinates.
+    def _quotient_hecke_columns(self, p):
+        """Images of the free generators under T_p (U_p at p | M), in quotient
+        coordinates.
 
         Assembled from packed integer sums (see the module docstring);
         each column is integral and stands for itself divided by _den.
@@ -366,7 +375,7 @@ class PlusQuotient:
         p1 = self.p1
         npts = len(p1)
         D = self.quotient_dim
-        fam = heilbronn_cremona(n) if self.M % n else merel_family(n)
+        fam = heilbronn_cremona(p)
         # 2^(B-1) exceeds the absolute value of every digit of the sums below
         B = 1 + (len(fam) * max(max(abs(a) + abs(b), abs(c) + abs(d))
                                 for a, b, c, d in fam) ** w).bit_length()
@@ -402,16 +411,13 @@ class PlusQuotient:
             cols.append(vec)
         return cols
 
-    def hecke_matrix(self, n):
-        """Matrix of T_n (U_p when n = p | M) on the cuspidal basis."""
-        if n < 1:
-            raise ValueError("Hecke index must be >= 1")
-        if n > 1 and not is_prime(n):
-            # composite indices would need the full multiplicative recursion
-            raise ValueError(f"Hecke index must be 1 or prime, got {n}")
+    def hecke_matrix(self, p):
+        """Matrix of T_p (U_p when p | M) on the cuspidal basis, p prime."""
+        if not is_prime(p):
+            raise ValueError(f"Hecke index must be prime, got {p}")
         if self.dim == 0:
             return []
-        cols = self._quotient_hecke_columns(n)
+        cols = self._quotient_hecke_columns(p)
         images = []
         for bvec in self.cuspidal_basis:
             # the image of L * bvec, in integers, stands for the image of
@@ -426,7 +432,7 @@ class PlusQuotient:
                 coeffs = self._solver.solve(img)
             except ValueError:
                 raise ConsistencyError(
-                    f"T_{n} does not preserve the cuspidal subspace at "
+                    f"T_{p} does not preserve the cuspidal subspace at "
                     f"(k={self.k}, M={self.M})") from None
             scale = L * self._den
             images.append([c / scale for c in coeffs])

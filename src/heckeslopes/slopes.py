@@ -261,52 +261,3 @@ def witness_label(p, j, k):
     if k == j + p - 1:
         return "k = j + (p-1)"
     return "mismatch: minimal witness k=%d outside {%d, %d}" % (k, j, j + p - 1)
-
-
-@dataclass(frozen=True)
-class P2Refinement:
-    k: int
-    source: object  # violating T_2 slope (Fraction) or INFINITY
-    pair: SlopeMultiset
-
-
-@dataclass(frozen=True)
-class P2Report:
-    N: int
-    rows: tuple  # RegularityRow for weights 2 and 4
-    already_fractional: tuple  # (k, slope, mult) for non-integral T_2 slopes
-    refinements: tuple  # P2Refinement per integral (or zero) violating eigenvalue
-
-
-def p2_refinement_check(N):
-    """Check that breaking 2-regularity forces fractional slopes somewhere.
-
-    A non-integral T_2 slope on S_2 or S_4 at level N is fractional as it
-    stands and is reported directly.  Every other violating eigenvalue
-    (weight-2 slope 1, weight-4 slope 2 or 3, or an exactly-zero
-    eigenvalue) is refined; its pair must come out fractional ({1/2,1/2}
-    from weight 2, {3/2,3/2} from weight 4) and an integral pair is a
-    hard failure.
-    """
-    if N % 2 == 0:
-        raise ValueError("N must be odd, got %d" % N)
-    verdict = is_regular(2, N)
-    rows = tuple(row for row in verdict.table if row.k % 2 == 0)
-    fractional = []
-    refinements = []
-    for row in rows:
-        for s, mult in row.slopes:
-            if Fraction(s).denominator != 1:
-                fractional.append((row.k, s, mult))
-            elif _violates(2, row.k, s):
-                refinements.extend(
-                    P2Refinement(row.k, s, refinement_pair(s, row.k)) for _ in range(mult))
-        refinements.extend(
-            P2Refinement(row.k, INFINITY, refinement_pair(INFINITY, row.k))
-            for _ in range(row.zero_count))
-    for ref in refinements:
-        if all(Fraction(s).denominator == 1 for s, _ in ref.pair):
-            raise ConsistencyError(
-                "refinement of weight-%d slope %s at level %d is integral: %r"
-                % (ref.k, ref.source, N, ref.pair))
-    return P2Report(N, rows, tuple(fractional), tuple(refinements))

@@ -17,11 +17,20 @@ the package scans unit orbits.  The Manin-symbol relations are written
 out in full, one of each kind per symbol, from the matrix action on
 polynomials and points, where the package unites two-term and star pairs
 and writes three-term relations at one point per orbit.
+
+The last section is not a referee: criterion 7's 2-refinement check
+builds on the package's regularity verdicts and lives here because only
+tests call it.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+
+from heckeslopes.errors import ConsistencyError
+from heckeslopes.exact import INFINITY, SlopeMultiset
+from heckeslopes.slopes import is_regular, refinement_pair
 
 
 # ----------------------------------------------------------------------
@@ -548,3 +557,56 @@ def manin_relations(k, M):
             two.append(relation((1, x), (-1, act(i, t, jay))))
             three.append(relation((1, x), (1, act(i, t, tau)), (1, act(i, t, tau2))))
     return (w + 1) * n, two, three
+
+
+# ----------------------------------------------------------------------
+# criterion 7: breaking 2-regularity forces fractional slopes
+
+@dataclass(frozen=True)
+class P2Refinement:
+    k: int
+    source: object  # violating T_2 slope (Fraction) or INFINITY
+    pair: SlopeMultiset
+
+
+@dataclass(frozen=True)
+class P2Report:
+    N: int
+    rows: tuple  # RegularityRow for weights 2 and 4
+    already_fractional: tuple  # (k, slope, mult) for non-integral T_2 slopes
+    refinements: tuple  # P2Refinement per integral (or zero) violating eigenvalue
+
+
+def p2_refinement_check(N):
+    """Check that breaking 2-regularity forces fractional slopes somewhere.
+
+    A non-integral T_2 slope on S_2 or S_4 at level N is fractional as it
+    stands and is reported directly.  Every other violating eigenvalue
+    (weight-2 slope 1, weight-4 slope 2 or 3, or an exactly-zero
+    eigenvalue) is refined; its pair must come out fractional ({1/2,1/2}
+    from weight 2, {3/2,3/2} from weight 4) and an integral pair is a
+    hard failure.
+    """
+    if N % 2 == 0:
+        raise ValueError("N must be odd, got %d" % N)
+    verdict = is_regular(2, N)
+    rows = tuple(row for row in verdict.table if row.k % 2 == 0)
+    fractional = []
+    refinements = []
+    for row in rows:
+        for s, mult in row.slopes:
+            if Fraction(s).denominator != 1:
+                fractional.append((row.k, s, mult))
+            elif Fraction(s) not in ({0, 1} if row.k == 4 else {0}):
+                # 2-regularity allows slope 0, and slope 1 too in weight 4
+                refinements.extend(
+                    P2Refinement(row.k, s, refinement_pair(s, row.k)) for _ in range(mult))
+        refinements.extend(
+            P2Refinement(row.k, INFINITY, refinement_pair(INFINITY, row.k))
+            for _ in range(row.zero_count))
+    for ref in refinements:
+        if all(Fraction(s).denominator == 1 for s, _ in ref.pair):
+            raise ConsistencyError(
+                "refinement of weight-%d slope %s at level %d is integral: %r"
+                % (ref.k, ref.source, N, ref.pair))
+    return P2Report(N, rows, tuple(fractional), tuple(refinements))

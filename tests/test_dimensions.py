@@ -26,6 +26,13 @@ def test_elliptic_and_cusp_counts():
     assert nu_infinity(12) == 6 and nu_infinity(28) == 6
 
 
+def test_elliptic_counts_are_root_counts():
+    # nu2(N) and nu3(N) count the roots of x^2 + 1 and x^2 + x + 1 mod N
+    for N in range(1, 600):
+        assert nu2(N) == sum((x * x + 1) % N == 0 for x in range(N)), N
+        assert nu3(N) == sum((x * x + x + 1) % N == 0 for x in range(N)), N
+
+
 def test_genus_table():
     for N, g in GENUS.items():
         assert genus(N) == g, N

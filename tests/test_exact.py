@@ -5,8 +5,8 @@ import pytest
 
 from heckeslopes.exact import (INFINITY, IntPolynomial, NewtonPolygon,
                                SlopeMultiset, divisors, euler_phi, factorize,
-                               inverse_charpoly, is_prime, kronecker,
-                               newton_slopes, valuation)
+                               inverse_charpoly, is_prime, newton_slopes,
+                               valuation)
 from oracles import inverse_charpoly_reference
 
 
@@ -91,7 +91,8 @@ def test_newton_slopes_product_law():
         p = rng.choice([2, 3, 5, 7, 11])
         f = IntPolynomial([1] + [rng.randint(-50, 50) for _ in range(rng.randint(0, 7))])
         g = IntPolynomial([1] + [rng.randint(-50, 50) for _ in range(rng.randint(0, 7))])
-        assert newton_slopes(f * g, p) == newton_slopes(f, p).union(newton_slopes(g, p))
+        assert newton_slopes(f * g, p) == \
+            SlopeMultiset(newton_slopes(f, p).entries + newton_slopes(g, p).entries)
 
 
 def test_newton_polygon_collinear_merge():
@@ -106,7 +107,7 @@ def test_slope_multiset_ops():
     assert s.total == 3
     assert s.as_list() == [0, Fraction(1, 2), Fraction(1, 2)]
     assert s.in_open_interval(0, 1).as_list() == [Fraction(1, 2), Fraction(1, 2)]
-    assert s.union(SlopeMultiset.of_slopes([3])).total == 4
+    assert SlopeMultiset(s.entries + SlopeMultiset.of_slopes([3]).entries).total == 4
     assert repr(SlopeMultiset()) == "{}"
     assert repr(s) == "{0 x1, 1/2 x2}"
 
@@ -185,13 +186,3 @@ def test_arithmetic_helpers():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert divisors(28) == [1, 2, 4, 7, 14, 28]
     assert [euler_phi(n) for n in (1, 2, 9, 12, 97)] == [1, 1, 6, 4, 96]
-    # kronecker symbol against Euler's criterion at odd primes
-    rng = random.Random(29)
-    for _ in range(200):
-        q = rng.choice([3, 5, 7, 11, 13, 17])
-        a = rng.randint(-40, 40)
-        if a % q == 0:
-            assert kronecker(a, q) == 0
-        else:
-            assert kronecker(a, q) == (1 if pow(a, (q - 1) // 2, q) == 1 else -1)
-    assert kronecker(-3, 2) == -1 and kronecker(-4, 2) == 0 and kronecker(7, 2) == 1

@@ -70,9 +70,9 @@ def test_hecke_index_guards():
         q.hecke_matrix(12)
     with pytest.raises(ValueError):
         q.hecke_matrix(0)
-    # index 1 acts as the identity
-    A = q.hecke_matrix(1)
-    assert A == [[Fraction(1)]]
+    # primes only: heilbronn_cremona(1) is not the identity
+    with pytest.raises(ValueError):
+        q.hecke_matrix(1)
 
 
 def test_hecke_matrix_matches_fraction_referee():
@@ -93,16 +93,17 @@ def test_hecke_matrix_matches_fraction_referee():
     cases += [(6, 30, 7), (6, 30, 5)]
     # signed digits about 2^300 wide
     cases.append((38, 1, 59))
+    # U_p at p^e | M, e >= 2
+    cases += [(4, 27, 3), (2, 50, 5), (4, 16, 2), (2, 49, 7)]
     for k, M, n in sorted(set(cases)):
         space = plus_quotient(k, M)
         A = space.hecke_matrix(n)
         assert A == hecke_matrix_reference(space, merel_family(n)), (k, M, n)
-        if M % n:
-            assert A == hecke_matrix_reference(space, heilbronn_cremona(n)), (k, M, n)
+        assert A == hecke_matrix_reference(space, heilbronn_cremona(n)), (k, M, n)
 
 
 def test_merel_family_sizes():
-    # |family(p)| for the determinant-p matrices used by T_p
+    # |family(p)| for the determinant-p referee family
     assert len(merel_family(1)) == 1
     assert len(merel_family(59)) == 531
     # each matrix has the right determinant
@@ -112,7 +113,7 @@ def test_merel_family_sizes():
 
 
 def test_heilbronn_cremona_family():
-    # nearest-integer continued-fraction families used by T_p at p not dividing M
+    # nearest-integer continued-fraction families used by T_p and U_p
     sizes = {2: 4, 3: 6, 5: 12, 7: 18, 13: 38, 59: 222}
     for p, size in sizes.items():
         fam = heilbronn_cremona(p)

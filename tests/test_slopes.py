@@ -18,7 +18,6 @@ from heckeslopes.slopes import (
     default_witness_bound,
     find_fractional_witness,
     is_regular,
-    p2_refinement_check,
     refinement_pair,
     regularity_weight_range,
     tp_slopes,
@@ -27,6 +26,8 @@ from heckeslopes.slopes import (
     witness_label,
 )
 from heckeslopes.survey import compute_pair
+
+from oracles import p2_refinement_check
 
 
 def test_context_validation():
