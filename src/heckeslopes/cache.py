@@ -9,21 +9,18 @@ On disk it is one JSON object per line, so the file can be streamed
 and appended to; coefficients travel as decimal strings because they
 overflow 64 bits around weight 20.  Every record carries a sha256
 digest of its payload: a record that fails to re-parse, re-verify, or
-match the schema version is dropped with a warning and the polynomial
-is simply recomputed.  Writes go through a temporary file and
-os.replace, so readers never see a half-written cache.
+match the schema version is dropped, listed in the store's rejects,
+and the polynomial is simply recomputed.  Writes go through a temporary
+file and os.replace, so readers never see a half-written cache.
 """
 
 import hashlib
 import json
-import logging
 import os
 import tempfile
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import IntPolynomial
-
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 ENGINES = ("modsym", "trace", "both")
@@ -35,8 +32,7 @@ def operator_label(p, level):
     return "U" if level % p == 0 else "T"
 
 
-@dataclass(frozen=True)
-class CacheRecord:
+class CacheRecord(NamedTuple):
     p: int
     level: int
     weight: int
@@ -100,9 +96,10 @@ class CharpolyCache:
     engine picks how the slope layer computes a missing T_p polynomial:
     "modsym", "trace", or "both" (compute with each and insist they
     agree).  path=None keeps the cache purely in memory.  load() never
-    raises on a damaged file: bad lines are collected in self.rejects and
-    logged, and the affected entries get recomputed on demand.  Used as a
-    context manager, the store flushes on leaving the block, also on error.
+    raises on a damaged file: bad lines are collected in self.rejects for
+    the caller to report, and the affected entries get recomputed on
+    demand.  Used as a context manager, the store flushes on leaving the
+    block, also on error.
     """
 
     def __init__(self, path=None, engine="modsym"):
@@ -133,7 +130,6 @@ class CharpolyCache:
                     rec = CacheRecord.from_line(line)
                 except ValueError as exc:  # UnicodeDecodeError included
                     self.rejects.append((lineno, str(exc)))
-                    log.warning("cache %s line %d dropped: %s", self.path, lineno, exc)
                     continue
                 stored[rec.key] = rec
                 kept += 1

@@ -1,28 +1,25 @@
 """Command-line front end.
 
 Subcommands: regularity, slopes, witness, survey, crosscheck.  Reports
-go to stdout, logs to stderr.  Exit codes: 0 success, 1 usage error,
-2 mathematical inconsistency or a survey pair that could not be
-computed, 3 witness search inconclusive (and nothing worse happened).
+go to stdout.  Errors, dropped cache lines and skipped or failed survey
+pairs go to stderr, written here: the library writes nothing there.
+Exit codes: 0 success, 1 usage error, 2 mathematical inconsistency or a
+survey pair that could not be computed, 3 witness search inconclusive
+(and nothing worse happened).
 """
 
 import argparse
-import dataclasses
-import logging
 import os
 import sys
 
 from .cache import ENGINES, CharpolyCache
 from .dimensions import dim_cuspforms
 from .errors import ConsistencyError, TraceBudgetExceeded
-from .modsym import charpoly_cuspidal
 from .slopes import (HeckeContext, is_regular, regularity_weight_range, tp_slopes,
                      up_assembly, up_slopes_direct, witness_label)
 from .survey import (COLUMNS, FORMATS, SurveyConfig, compute_pair, render_report,
                      run_survey)
 from .traceforms import charpoly_from_traces, trace_feasible
-
-log = logging.getLogger(__name__)
 
 CACHE_ENV = "HECKESLOPES_CACHE"
 
@@ -86,7 +83,10 @@ def _open_store(args):
         path = args.cache or None  # --cache "" keeps the store in memory
     else:
         path = os.environ.get(CACHE_ENV) or None
-    return CharpolyCache(path, getattr(args, "engine", "modsym"))
+    store = CharpolyCache(path, getattr(args, "engine", "modsym"))
+    for lineno, reason in store.rejects:
+        print("cache %s line %d dropped: %s" % (path, lineno, reason), file=sys.stderr)
+    return store
 
 
 def _add_cache(sub):
@@ -156,7 +156,7 @@ def cmd_slopes(args):
 def cmd_witness(args):
     with _open_store(args) as store:
         row = compute_pair(args.p, args.N, args.k_max, store)
-    _print(render_report(COLUMNS, [dataclasses.astuple(row)], args.fmt))
+    _print(render_report(COLUMNS, [row], args.fmt))
     if row.witness_k is not None and args.fmt == "text":
         _print("minimal witness weight vs {j, j+(p-1)}: %s\n"
                % witness_label(row.p, row.j, row.witness_k))
@@ -175,8 +175,11 @@ def cmd_survey(args):
                           workers=args.workers)
     with _open_store(args) as store:
         result = run_survey(config, store)
-    _print(render_report(COLUMNS, [dataclasses.astuple(row) for row in result.rows],
-                         args.fmt, result.errors))
+    for p, N in result.skipped:
+        print("skipping (p=%d, N=%d): p divides N" % (p, N), file=sys.stderr)
+    for error in result.errors:
+        print("pair (p=%d, N=%d) failed: %s: %s" % error, file=sys.stderr)
+    _print(render_report(COLUMNS, result.rows, args.fmt, result.errors))
     if result.errors:  # an inconsistency, or a pair that could not be computed
         return EXIT_INCONSISTENT
     if any(row.status == "inconclusive" for row in result.rows):
@@ -188,6 +191,8 @@ def cmd_survey(args):
 # crosscheck
 
 def cmd_crosscheck(args):
+    from .modsym import charpoly_cuspidal
+
     primes = _parse_int_set(args.p)
     levels = _parse_int_set(args.N)
     store = _open_store(args)
@@ -295,8 +300,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (ConsistencyError, ArithmeticError) as exc:  # a failed exactness check

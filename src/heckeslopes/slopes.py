@@ -16,13 +16,12 @@ survey.compute_pair's job, the one route from a (p, N) pair to a report
 row.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dimensions import dim_cuspforms, dim_new_at_p
 from .errors import ConsistencyError
 from .exact import INFINITY, SlopeMultiset, is_prime, newton_slopes
-from .modsym import charpoly_cuspidal
 from .traceforms import charpoly_from_traces
 
 
@@ -37,18 +36,32 @@ def _check_tame_pair(p, N):
                          % (p, N))
 
 
-@dataclass(frozen=True)
-class HeckeContext:
-    """A triple (p, N, k): prime, tame level with p not dividing N, even weight."""
-
+class _Triple(NamedTuple):  # a NamedTuple body may not define __new__, a subclass may
     p: int
     N: int
     k: int
 
-    def __post_init__(self):
-        _check_tame_pair(self.p, self.N)
-        if not isinstance(self.k, int) or self.k < 2 or self.k % 2:
-            raise ValueError("k must be an even integer >= 2, got %r" % (self.k,))
+
+class HeckeContext(_Triple):
+    """A triple (p, N, k): prime, tame level with p not dividing N, even weight."""
+
+    __slots__ = ()
+
+    def __new__(cls, p, N, k):
+        _check_tame_pair(p, N)
+        if not isinstance(k, int) or k < 2 or k % 2:
+            raise ValueError("k must be an even integer >= 2, got %r" % (k,))
+        return super().__new__(cls, p, N, k)
+
+
+def _modsym_charpoly(k, M, p):
+    """modsym.charpoly_cuspidal(k, M, p), importing modsym on the first call.
+
+    A run whose every polynomial is a store hit never loads modsym.
+    """
+    from . import modsym
+
+    return modsym.charpoly_cuspidal(k, M, p)
 
 
 def _fetch(store, p, level, k, route, compute):
@@ -62,7 +75,7 @@ def _charpoly(k, N, p, store):
     engine = "modsym" if store is None else store.engine
     if engine == "trace":
         return _fetch(store, p, N, k, "trace", lambda: charpoly_from_traces(k, N, p))
-    f = _fetch(store, p, N, k, "modsym", lambda: charpoly_cuspidal(k, N, p))
+    f = _fetch(store, p, N, k, "modsym", lambda: _modsym_charpoly(k, N, p))
     if engine == "both":
         g = _fetch(store, p, N, k, "trace", lambda: charpoly_from_traces(k, N, p))
         if f != g:
@@ -96,16 +109,14 @@ def regularity_weight_range(p):
     return tuple(range(2, (p + 3) // 2 + 1))
 
 
-@dataclass(frozen=True)
-class RegularityRow:
+class RegularityRow(NamedTuple):
     k: int
     slopes: SlopeMultiset
     dim: int
     zero_count: int
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(NamedTuple):
     p: int
     N: int
     regular: bool
@@ -159,8 +170,7 @@ def refinement_pair(v, k):
     return SlopeMultiset.of_slopes((v, k - 1 - v))
 
 
-@dataclass(frozen=True)
-class UpSlopeAssembly:
+class UpSlopeAssembly(NamedTuple):
     p: int
     N: int
     k: int
@@ -207,7 +217,7 @@ def up_slopes_direct(ctx, store=None):
     if dim == 0:
         return SlopeMultiset()
     f = _fetch(store, ctx.p, ctx.N * ctx.p, ctx.k, "modsym",
-               lambda: charpoly_cuspidal(ctx.k, ctx.N * ctx.p, ctx.p))
+               lambda: _modsym_charpoly(ctx.k, ctx.N * ctx.p, ctx.p))
     if f.degree < dim:
         # U_p is invertible here: old eigenvalues multiply to p^(k-1) per
         # pair and new ones square to p^(k-2), so a vanishing eigenvalue
@@ -218,8 +228,7 @@ def up_slopes_direct(ctx, store=None):
     return newton_slopes(f, ctx.p)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """An even weight whose U_p slope multiset meets (0, 1)."""
 
     k: int

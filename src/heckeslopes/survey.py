@@ -20,15 +20,12 @@ _cell alone decides how a value is spelled in each format.
 """
 
 import json
-import logging
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cache import CharpolyCache
 from .exact import SlopeMultiset
 from .slopes import default_witness_bound, find_fractional_witness, is_regular
-
-log = logging.getLogger(__name__)
 
 COLUMNS = ("p", "N", "verdict", "j", "witness_k", "witness_slope", "prediction_match",
            "status")
@@ -36,16 +33,14 @@ CSV_HEADER = ",".join(COLUMNS)
 FORMATS = ("csv", "jsonl", "text")
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
+class SurveyConfig(NamedTuple):
     primes: tuple
     levels: tuple
     k_max: int = 0  # 0 means the per-pair default bound
     workers: int = 1
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     p: int
     N: int
     verdict: str  # "regular" | "irregular"
@@ -56,8 +51,7 @@ class ReportRow:
     status: str = "ok"  # "ok" | "inconclusive"
 
 
-@dataclass
-class SurveyResult:
+class SurveyResult(NamedTuple):
     rows: list
     errors: list  # (p, N, kind, message), deterministic order
     skipped: list  # (p, N) pairs with p | N, never computed
@@ -89,7 +83,6 @@ def _run_pair(p, N, k_max, store):
     try:
         return compute_pair(p, N, k_max, store)
     except Exception as exc:  # quarantined into the report's error section
-        log.warning("pair (p=%d, N=%d) failed: %s", p, N, exc)
         return (p, N, type(exc).__name__, str(exc))
 
 
@@ -103,8 +96,8 @@ def _survey_worker(args):
 def run_survey(config, store=None):
     """Survey every admissible (p, N) pair of the config grid.
 
-    Pairs with p | N are logged and skipped.  A failure in one pair is
-    quarantined into the error section and the run continues.  When
+    Pairs with p | N are skipped and listed in the result.  A failure in
+    one pair is quarantined into the error section and the run continues.  When
     workers > 1 the pairs are farmed out to at most one process per
     pair; store, in the parent, merges whatever the workers computed.  If
     a worker dies, the pairs whose outcome never arrived become errors.
@@ -118,7 +111,6 @@ def run_survey(config, store=None):
     for p in sorted(set(config.primes)):
         for N in sorted(set(config.levels)):
             if N % p == 0:
-                log.info("skipping (p=%d, N=%d): p divides N", p, N)
                 skipped.append((p, N))
             else:
                 pairs.append((p, N))
@@ -139,7 +131,6 @@ def run_survey(config, store=None):
                     store.merge(records)
                     outcomes.append(outcome)
             except BrokenProcessPool as exc:
-                log.warning("process pool broke: %s", exc)
                 outcomes += [(p, N, type(exc).__name__, str(exc))
                              for p, N in pairs[len(outcomes):]]
     else:

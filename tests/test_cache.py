@@ -6,6 +6,7 @@ drop (and report) rather than serve.  Math never depends on it.
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -47,6 +48,10 @@ def test_record_roundtrip_is_exact():
     back = CacheRecord.from_line(rec.to_line())
     assert back == rec
     assert back.coeffs == rec.coeffs  # arbitrary-precision ints survive
+    # survey workers send records between processes, and a record is read-only
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    with pytest.raises(AttributeError):
+        rec.engine = "trace"
 
 
 def test_record_digest_detects_tampering():
@@ -101,7 +106,7 @@ def test_cache_file_roundtrip(tmp_path):
     assert CharpolyCache(path).rejects == []
 
 
-def test_load_tolerates_truncation_and_junk(tmp_path, caplog):
+def test_load_tolerates_truncation_and_junk(tmp_path, capsys):
     path = str(tmp_path / "c.jsonl")
     good = sample_record()
     with open(path, "w") as fh:
@@ -114,6 +119,8 @@ def test_load_tolerates_truncation_and_junk(tmp_path, caplog):
     assert len(cache.rejects) == 2
     linenos = [ln for ln, _ in cache.rejects]
     assert linenos == [2, 3]
+    # the store lists its rejects and leaves reporting them to the caller
+    assert capsys.readouterr().err == ""
 
 
 def test_load_rejects_non_ascii_lines(tmp_path):

@@ -39,6 +39,10 @@ def test_context_validation():
         HeckeContext(2, 11, 3)    # odd weight
     with pytest.raises(ValueError):
         HeckeContext(11, 22, 2)   # p divides N
+    with pytest.raises(ValueError):
+        HeckeContext(2, 4, 4)     # p divides N
+    with pytest.raises(AttributeError):
+        HeckeContext(2, 11, 4).k = 6
 
 
 def test_tp_slopes_basic():
@@ -165,6 +169,7 @@ def test_witness_bound_default():
 def test_find_fractional_witness_pins():
     w = find_fractional_witness(2, 11, 10)
     assert w == Witness(2, Fraction(1, 2))
+    assert repr(w) == "Witness(k=2, slope=Fraction(1, 2))"
     # regular pair: nothing below the bound
     assert find_fractional_witness(3, 11, 20) is None
 

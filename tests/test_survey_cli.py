@@ -9,10 +9,10 @@ runs and cache states.
 import csv
 import json
 import os
+import pickle
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,8 +41,7 @@ GOLDEN_11 = (
 
 def render(result, fmt):
     """A survey result through the one renderer, as the survey command calls it."""
-    return render_report(COLUMNS, [astuple(row) for row in result.rows], fmt,
-                         result.errors)
+    return render_report(COLUMNS, result.rows, fmt, result.errors)
 
 
 def test_csv_header_is_frozen():
@@ -56,6 +55,10 @@ def test_compute_pair_irregular():
                             prediction_match=True, status="ok")
     assert witness_label(row.p, row.j, row.witness_k) == "k = j"
     assert witness_label(row.p, row.j, 3) == "k = j + (p-1)"  # predicted {2, 3}
+    # survey workers send rows between processes, and a row is read-only
+    assert pickle.loads(pickle.dumps(row)) == row
+    with pytest.raises(AttributeError):
+        row.status = "inconclusive"
 
 
 def test_compute_pair_regular():
@@ -208,7 +211,7 @@ def test_trace_reports_need_no_modsym(monkeypatch, capsys):
     def refuse(k, N, p):
         raise AssertionError("modsym charpoly at (k=%d, N=%d, p=%d)" % (k, N, p))
 
-    monkeypatch.setattr("heckeslopes.slopes.charpoly_cuspidal", refuse)
+    monkeypatch.setattr("heckeslopes.modsym.charpoly_cuspidal", refuse)
     assert main(witness + ["--engine", "trace"]) == 0
     assert capsys.readouterr().out == witness_out
     assert main(survey + ["--engine", "trace"]) == 3
@@ -326,7 +329,7 @@ def test_cli_arithmetic_error_exits_2(command, monkeypatch, capsys):
     def boom(k, N, p):
         raise ArithmeticError("fabricated")
 
-    monkeypatch.setattr("heckeslopes.slopes.charpoly_cuspidal", boom)
+    monkeypatch.setattr("heckeslopes.modsym.charpoly_cuspidal", boom)
     assert main([command, "--p", "2", "--N", "11", "--cache", ""]) == 2
     assert "inconsistency: fabricated" in capsys.readouterr().err
 
@@ -563,7 +566,8 @@ def test_cli_survey_self_heals_corrupt_cache(tmp_path, capsys):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     assert main(["survey", "--p", "2", "--N", "11", "--cache", path]) == 0
-    assert capsys.readouterr().out == first
+    # the report is unchanged, and stderr names the dropped line once
+    assert capsys.readouterr() == (first, "cache %s line 1 dropped: digest mismatch\n" % path)
     # the rewritten file verifies cleanly again
     assert CharpolyCache(path).rejects == []
 
@@ -582,12 +586,33 @@ def test_cli_cache_env_var(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_cli_imports_no_numpy():
-    # the package is stdlib-only; a fresh interpreter shows what it loads
+def _fresh_python(*argv, cwd=None):
+    """Run a fresh interpreter on argv with the package's src/ on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_imports_no_numpy():
+    # the package is stdlib-only; a fresh interpreter shows what it loads
     probe = "import sys, heckeslopes.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out == "False\n"
+    assert _fresh_python("-c", probe).stdout == "False\n"
+
+
+def test_cli_start_up_loads_only_what_the_run_uses(tmp_path):
+    # -S: no site .pth file imports anything before the package does
+    probe = ("import sys, heckeslopes.cli; print(sorted(m for m in sys.modules if m in "
+             "('logging', 'dataclasses', 'heckeslopes.modsym', 'heckeslopes.linalg')))")
+    run = _fresh_python("-S", "-c", probe)
+    assert (run.stdout, run.returncode) == ("[]\n", 0), run.stderr
+    # a survey whose every polynomial is a store hit never loads modsym
+    survey = ["-S", "-X", "importtime", "-m", "heckeslopes.cli", "survey", "--p", "2,3,5,7",
+              "--N", "1-8", "--k-max", "8", "--cache", "cache.jsonl"]
+    cold = _fresh_python(*survey, cwd=tmp_path)
+    warm = _fresh_python(*survey, cwd=tmp_path)
+    assert cold.stdout.startswith(CSV_HEADER)
+    assert (warm.stdout, warm.returncode) == (cold.stdout, cold.returncode)
+    assert "heckeslopes.modsym" in cold.stderr
+    assert "heckeslopes.modsym" not in warm.stderr
