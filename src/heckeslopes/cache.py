@@ -11,13 +11,12 @@ overflow 64 bits around weight 20.  Every record carries a sha256
 digest of its payload: a record that fails to re-parse, re-verify, or
 match the schema version is dropped, listed in the store's rejects,
 and the polynomial is simply recomputed.  Writes go through a temporary
-file and os.replace, so readers never see a half-written cache.
+file and os.replace, so readers never see a half-written cache.  json,
+hashlib and tempfile are imported where records are read, digested or
+written, so a run without a cache file loads none of them.
 """
 
-import hashlib
-import json
 import os
-import tempfile
 from typing import NamedTuple
 
 from .exact import IntPolynomial
@@ -56,10 +55,15 @@ class CacheRecord(NamedTuple):
         }
 
     def digest(self):
+        import hashlib
+        import json
+
         blob = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
     def to_line(self):
+        import json
+
         body = self.payload()
         body["digest"] = self.digest()
         return json.dumps(body, sort_keys=True, separators=(",", ":"))
@@ -67,6 +71,8 @@ class CacheRecord(NamedTuple):
     @classmethod
     def from_line(cls, line):
         """Parse and verify one cache line; ValueError describes any defect."""
+        import json
+
         try:
             body = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -181,6 +187,8 @@ class CharpolyCache:
         if (self.records == self._stored and not self.rejects
                 and os.path.exists(self.path)):
             return
+        import tempfile
+
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=".cache-", dir=directory)

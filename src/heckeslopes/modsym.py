@@ -44,6 +44,17 @@ balanced range [-2^(B-1), 2^(B-1)).  The images of the cuspidal basis
 vectors, each scaled by the lcm of its denominators, are summed in
 integers too, and one SpanSolver per space writes them in that basis.
 
+Cremona's family is closed, up to sign, under h -> JhJ, J = [-1,0;0,1]
+(at p = 2 two members have no partner), and x.(JhJ) = ((x.J).h).J is
+(x.J).h under the star fold.  For x = (i, t), x.J is (-1)^i (i, J(t)), so
+a pair {h, JhJ} costs one packed product per exponent i, added at the
+target of t and, times (-1)^i, at the target of J(t); at level 1 both
+are one point and only even i are live, so the product is doubled.  A
+single h does not act on the quotient, only the family does (Merel), so
+the pairs are summed over the whole family before any projection.
+Columns are assembled only for the free generators in the support of
+the cuspidal basis, the only ones hecke_matrix reads.
+
 T_p's characteristic polynomial is multimodular (see linalg), bounded by
 Deligne's |a_p| <= 2 p^((k-1)/2), which also bounds U_p at p | M.
 """
@@ -202,6 +213,29 @@ def heilbronn_cremona(p):
     return mats
 
 
+@lru_cache(maxsize=48)
+def _hecke_family(p):
+    """heilbronn_cremona(p) as (h, mate) entries and its size and height.
+
+    mate is the member equal, up to sign, to JhJ = (a, -b, -c, d) for
+    h = (a, b, c, d), J = [-1,0;0,1], or None when h is its own conjugate
+    or has no partner (at p = 2, (2,1,0,1) and (1,0,1,2)); each member
+    appears in exactly one entry.  The height is the largest of
+    |a| + |b| and |c| + |d| over the family.
+    """
+    fam = heilbronn_cremona(p)
+    left = set(fam)
+    entries = []
+    for a, b, c, d in fam:
+        if (a, b, c, d) in left:
+            left.remove((a, b, c, d))
+            mate = next((m for m in ((a, -b, -c, d), (-a, b, c, -d)) if m in left), None)
+            left.discard(mate)
+            entries.append(((a, b, c, d), mate))
+    height = max(max(abs(a) + abs(b), abs(c) + abs(d)) for a, b, c, d in fam)
+    return tuple(entries), len(fam), height
+
+
 def _powers(x, exps):
     """{e: x**e} for the exponents e in exps, climbing through them in order."""
     out, last, y = {}, 0, 1
@@ -355,6 +389,10 @@ class PlusQuotient:
         self.cusp_count = len(cusps)
         self.cuspidal_basis = kernel_basis(rows.values(), self.quotient_dim)
         self.dim = len(self.cuspidal_basis)
+        # the free generators hecke_matrix reads: at level 1 the boundary
+        # generator i = w is not among them
+        self._support = sorted({col for v in self.cuspidal_basis
+                                for col, x in enumerate(v) if x})
         expected = dim_cuspforms(self.k, self.M)
         if self.dim != expected:
             raise ConsistencyError(
@@ -365,8 +403,8 @@ class PlusQuotient:
     # -- Hecke action ----------------------------------------------------
 
     def _quotient_hecke_columns(self, p):
-        """Images of the free generators under T_p (U_p at p | M), in quotient
-        coordinates.
+        """Images under T_p (U_p at p | M) of the free generators in the
+        cuspidal basis's support, in quotient coordinates, keyed by column.
 
         Assembled from packed integer sums (see the module docstring);
         each column is integral and stands for itself divided by _den.
@@ -375,29 +413,44 @@ class PlusQuotient:
         p1 = self.p1
         npts = len(p1)
         D = self.quotient_dim
-        fam = heilbronn_cremona(p)
+        family, size, height = _hecke_family(p)
         # 2^(B-1) exceeds the absolute value of every digit of the sums below
-        B = 1 + (len(fam) * max(max(abs(a) + abs(b), abs(c) + abs(d))
-                                for a, b, c, d in fam) ** w).bit_length()
-        roots = [(col,) + divmod(r, npts) for col, r in enumerate(self.free_roots)]
-        exps = {i for _, i, _ in roots}
-        sums = [{} for _ in range(D)]
-        for (aa, bb, cc, dd) in fam:
+        B = 1 + (size * height ** w).bit_length()
+        # the support's generators (col, t, J(t)), grouped by exponent i
+        by_exp = {}
+        for col in self._support:
+            i, t = divmod(self.free_roots[col], npts)
+            c, d = p1.points[t]
+            by_exp.setdefault(i, []).append((col, t, p1.index(-c, d)))
+        exps = sorted(by_exp)
+        co_exps = [w - e for e in exps]
+        pts = {u for group in by_exp.values() for _, t, jt in group for u in (t, jt)}
+        sums = {col: {} for col in self._support}
+        for (aa, bb, cc, dd), mate in family:
             A, C = (aa << B) + bb, (cc << B) + dd
-            powA, powC = _powers(A, exps), _powers(C, [w - e for e in exps])
+            powA, powC = _powers(A, exps), _powers(C, co_exps)
+            # target points under h; None where the image is not primitive
+            # mod M, which is dropped
             tgt = {}
-            for col, i, t in roots:
-                if t not in tgt:
-                    c, d = p1.points[t]
-                    tgt[t] = p1.index(aa * c + cc * d, bb * c + dd * d)
-                t1 = tgt[t]
-                if t1 is None:
-                    continue  # image not primitive mod M: dropped
-                acc = sums[col]
-                acc[t1] = acc.get(t1, 0) + powA[i] * powC[w - i]
+            for t in pts:
+                c, d = p1.points[t]
+                tgt[t] = p1.index(aa * c + cc * d, bb * c + dd * d)
+            for i, group in by_exp.items():
+                prod = powA[i] * powC[w - i]
+                # x.(JhJ) is (x.J).h = (-1)^i prod at the target of J(t)
+                twin = -prod if i % 2 else prod
+                for col, t, jt in group:
+                    acc = sums[col]
+                    t1 = tgt[t]
+                    if t1 is not None:
+                        acc[t1] = acc.get(t1, 0) + prod
+                    if mate is not None:
+                        t2 = tgt[jt]
+                        if t2 is not None:
+                            acc[t2] = acc.get(t2, 0) + twin
         mask, top, base = (1 << B) - 1, 1 << (B - 1), 1 << B
-        cols = []
-        for acc in sums:
+        cols = {}
+        for col, acc in sums.items():
             vec = [0] * D
             for t1, packed in acc.items():
                 for j in range(w + 1):
@@ -408,7 +461,7 @@ class PlusQuotient:
                     if coeff:
                         for fp, fv in self._pi[j * npts + t1].items():
                             vec[fp] += coeff * fv
-            cols.append(vec)
+            cols[col] = vec
         return cols
 
     def hecke_matrix(self, p):
@@ -424,10 +477,10 @@ class PlusQuotient:
             # bvec times L * _den
             L = lcm(*(x.denominator for x in bvec))
             img = [0] * self.quotient_dim
-            for x, colr in zip(bvec, cols):
+            for col, x in enumerate(bvec):
                 if x:
                     m = x.numerator * (L // x.denominator)
-                    img = [a + m * b for a, b in zip(img, colr)]
+                    img = [a + m * b for a, b in zip(img, cols[col])]
             try:
                 coeffs = self._solver.solve(img)
             except ValueError:
@@ -439,8 +492,9 @@ class PlusQuotient:
         return [list(row) for row in zip(*images)]
 
 
-# The only memo besides the charpoly store, which keys polynomials by p:
-# one built space serves T_p for every p, as surveys and crosscheck ask.
+# Besides the charpoly store, which keys polynomials by p, the memos are
+# this one and _hecke_family's: one built space serves T_p for every p,
+# as surveys and crosscheck ask.
 @lru_cache(maxsize=48)
 def plus_quotient(k, M):
     return PlusQuotient(k, M)

@@ -19,7 +19,6 @@ the caller names the columns and passes rows of plain values, and
 _cell alone decides how a value is spelled in each format.
 """
 
-import json
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -171,6 +170,8 @@ def render_report(columns, rows, fmt, errors=()):
     if fmt not in FORMATS:
         raise ValueError("format must be one of %r, got %r" % (FORMATS, fmt))
     if fmt == "jsonl":
+        import json
+
         lines = [json.dumps({name: _cell(v, fmt) for name, v in zip(columns, row)})
                  for row in rows]
         lines.extend(json.dumps({"error": {"p": p, "N": N, "kind": kind, "message": msg}})

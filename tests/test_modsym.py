@@ -16,6 +16,7 @@ from heckeslopes.linalg import SparseRREF
 from heckeslopes.modsym import (
     P1List,
     PlusQuotient,
+    _hecke_family,
     charpoly_cuspidal,
     heilbronn_cremona,
     merel_family,
@@ -95,6 +96,9 @@ def test_hecke_matrix_matches_fraction_referee():
     cases.append((38, 1, 59))
     # U_p at p^e | M, e >= 2
     cases += [(4, 27, 3), (2, 50, 5), (4, 16, 2), (2, 49, 7)]
+    # the targets h(t) and h(J t) of a J-pair differ, or one of them is not
+    # primitive mod M and is dropped; at p = 2 two members have no mate
+    cases += [(6, 18, 3), (4, 20, 2), (2, 98, 7), (8, 12, 3), (6, 40, 3)]
     for k, M, n in sorted(set(cases)):
         space = plus_quotient(k, M)
         A = space.hecke_matrix(n)
@@ -120,6 +124,34 @@ def test_heilbronn_cremona_family():
         assert len(fam) == size
         assert all(a * d - b * c == p for a, b, c, d in fam), p
     assert heilbronn_cremona(2) == [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
+
+    def up_to_sign(h):
+        return {h, tuple(-x for x in h)}
+
+    # for odd p the family is closed under h -> JhJ = (a, -b, -c, d) up to
+    # sign, and only the diagonal members are their own conjugates
+    for p in (3, 5, 7, 13, 59, 131):
+        fam = heilbronn_cremona(p)
+        members = {x for h in fam for x in up_to_sign(h)}
+        conjugates = [(a, -b, -c, d) for a, b, c, d in fam]
+        assert all(j in members for j in conjugates), p
+        selfconj = [h for h, j in zip(fam, conjugates) if j in up_to_sign(h)]
+        assert sorted(selfconj) == [(1, 0, 0, p), (p, 0, 0, 1)], p
+    # the memoised pairing covers each member exactly once, every mate is
+    # the conjugate of its member, and only p = 2 leaves members unpaired
+    for p in (2, 3, 5, 7, 13, 59, 131):
+        fam = heilbronn_cremona(p)
+        entries, size, height = _hecke_family(p)
+        covered = [h for h, _ in entries] + [m for _, m in entries if m is not None]
+        assert sorted(covered) == sorted(fam) and size == len(fam), p
+        assert height == max(max(abs(a) + abs(b), abs(c) + abs(d)) for a, b, c, d in fam)
+        for (a, b, c, d), mate in entries:
+            if mate is not None:
+                assert mate in up_to_sign((a, -b, -c, d)), (p, mate)
+        alone = sorted(h for h, m in entries if m is None and h[1] == h[2] == 0)
+        assert alone == [(1, 0, 0, p), (p, 0, 0, 1)], p
+        unpaired = sorted(h for h, m in entries if m is None and h not in alone)
+        assert unpaired == ([(1, 0, 1, 2), (2, 1, 0, 1)] if p == 2 else []), p
 
 
 def test_charpoly_cuspidal_pins():

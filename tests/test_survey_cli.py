@@ -616,3 +616,11 @@ def test_cli_start_up_loads_only_what_the_run_uses(tmp_path):
     assert (warm.stdout, warm.returncode) == (cold.stdout, cold.returncode)
     assert "heckeslopes.modsym" in cold.stderr
     assert "heckeslopes.modsym" not in warm.stderr
+    # an in-memory witness run builds spaces but reads, digests and writes
+    # no cache record
+    probe = ("import sys; from heckeslopes import cli; "
+             "code = cli.main(['witness', '--p', '59', '--N', '1', '--k-max', '12', "
+             "'--cache', '']); print(code, sorted(m for m in sys.modules if m in "
+             "('heckeslopes.modsym', 'hashlib', 'json', 'tempfile')))")
+    run = _fresh_python("-S", "-c", probe)
+    assert run.stdout.splitlines()[-1] == "3 ['heckeslopes.modsym']", run.stderr
