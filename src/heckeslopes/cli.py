@@ -15,11 +15,10 @@ import sys
 from .cache import ENGINES, CharpolyCache
 from .dimensions import dim_cuspforms
 from .errors import ConsistencyError, TraceBudgetExceeded
-from .slopes import (HeckeContext, is_regular, regularity_weight_range, tp_slopes,
-                     up_assembly, up_slopes_direct, witness_label)
+from .slopes import (HeckeContext, charpoly_from_traces, is_regular, regularity_weight_range,
+                     tp_slopes, up_assembly, up_slopes_direct, witness_label)
 from .survey import (COLUMNS, FORMATS, SurveyConfig, compute_pair, render_report,
                      run_survey)
-from .traceforms import charpoly_from_traces, trace_feasible
 
 CACHE_ENV = "HECKESLOPES_CACHE"
 
@@ -189,6 +188,13 @@ def cmd_survey(args):
 
 # ----------------------------------------------------------------------
 # crosscheck
+
+def trace_feasible(k, N, p):
+    """traceforms.trace_feasible(k, N, p), importing traceforms on the first call."""
+    from . import traceforms
+
+    return traceforms.trace_feasible(k, N, p)
+
 
 def cmd_crosscheck(args):
     from .modsym import charpoly_cuspidal

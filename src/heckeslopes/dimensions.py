@@ -1,14 +1,13 @@
 """Genus and cusp form dimension formulas for Gamma_0(N).
 
-These are the classical index / elliptic point / cusp counts; they serve
-as hard consistency checks for the modular symbols engine and as the
-bookkeeping behind old/new decompositions at level N*p.
+These are the classical index / elliptic point / cusp counts, all read
+off one factorisation of N; they serve as hard consistency checks for
+the modular symbols engine and as the bookkeeping behind old/new
+decompositions at level N*p.
 """
 
-from math import gcd
-
 from .errors import ConsistencyError
-from .exact import divisors, euler_phi, factorize
+from .exact import factorize
 
 __all__ = [
     "psi_index", "nu2", "nu3", "nu_infinity", "genus",
@@ -16,63 +15,59 @@ __all__ = [
 ]
 
 
-def psi_index(N):
-    """Index of Gamma_0(N) in SL_2(Z): N * prod_{p|N} (1 + 1/p)."""
+def _invariants(N):
+    """(psi_index, nu2, nu3, nu_infinity) of Gamma_0(N), one prime at a time."""
     if N < 1:
         raise ValueError("level must be >= 1")
-    out = N
-    for p in factorize(N):
-        out = out // p * (p + 1)
-    return out
+    psi, n2, n3, cusps = N, int(N % 4 != 0), int(N % 9 != 0), 1
+    for q, e in factorize(N).items():
+        psi = psi // q * (q + 1)
+        if q != 2:
+            n2 *= 2 if q % 4 == 1 else 0  # 1 + (-1|q)
+        if q != 3:
+            n3 *= 2 if q % 3 == 1 else 0  # 1 + (-3|q)
+        # sum over i <= e of phi(q^min(i, e - i))
+        cusps *= q ** (e // 2 - 1) * (q + 1) if e % 2 == 0 else 2 * q ** (e // 2)
+    return psi, n2, n3, cusps
+
+
+def psi_index(N):
+    """Index of Gamma_0(N) in SL_2(Z): N * prod_{p|N} (1 + 1/p)."""
+    return _invariants(N)[0]
 
 
 def nu2(N):
     """Number of elliptic points of order 2 on X_0(N)."""
-    if N % 4 == 0:
-        return 0
-    out = 1
-    for p in factorize(N):
-        if p == 2:
-            continue
-        out *= 2 if p % 4 == 1 else 0  # 1 + (-1|p)
-    return out
+    return _invariants(N)[1]
 
 
 def nu3(N):
     """Number of elliptic points of order 3 on X_0(N)."""
-    if N % 9 == 0:
-        return 0
-    out = 1
-    for p in factorize(N):
-        if p == 3:
-            continue
-        out *= 2 if p % 3 == 1 else 0  # 1 + (-3|p)
-    return out
+    return _invariants(N)[2]
 
 
 def nu_infinity(N):
     """Number of cusps of X_0(N): sum over d|N of phi(gcd(d, N/d))."""
-    return sum(euler_phi(gcd(d, N // d)) for d in divisors(N))
+    return _invariants(N)[3]
 
 
 def genus(N):
-    """Genus of X_0(N)."""
-    twelve_g = 12 + psi_index(N) - 3 * nu2(N) - 4 * nu3(N) - 6 * nu_infinity(N)
-    if twelve_g % 12:
-        raise ArithmeticError(f"genus formula not integral at N={N}")
-    return twelve_g // 12
+    """Genus of X_0(N), which is dim S_2(Gamma_0(N))."""
+    return dim_cuspforms(2, N)
 
 
 def dim_cuspforms(k, N):
     """dim S_k(Gamma_0(N)) for even k >= 2 (0 for k < 2 or odd k)."""
     if k < 2 or k % 2:
         return 0
-    g = genus(N)
+    psi, n2, n3, cusps = _invariants(N)
+    twelve_g = 12 + psi - 3 * n2 - 4 * n3 - 6 * cusps
+    if twelve_g % 12:
+        raise ArithmeticError(f"genus formula not integral at N={N}")
+    g = twelve_g // 12
     if k == 2:
         return g
-    d = (k - 1) * (g - 1) + (k // 2 - 1) * nu_infinity(N) \
-        + (k // 4) * nu2(N) + (k // 3) * nu3(N)
-    return d
+    return (k - 1) * (g - 1) + (k // 2 - 1) * cusps + (k // 4) * n2 + (k // 3) * n3
 
 
 def dim_new_at_p(k, N, p):

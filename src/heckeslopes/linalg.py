@@ -7,8 +7,7 @@ the modular-symbols presentation reads directly.  Rows are kept in
 echelon form as they arrive and back-substituted once, from the last
 pivot, when the form is next read, so each stored row is rewritten once
 per read rather than once per later pivot.  kernel_basis reads kernel
-bases off the reduced form, and SpanSolver solves in the span of a fixed
-family by eliminating the family augmented with an identity block.
+bases off the reduced form; SpanSolver is their coordinate chart.
 
 charpoly_monic is multimodular (Stein, Modular Forms: A Computational
 Approach, GSM 79) and takes one bound: the caller promises an integral
@@ -312,31 +311,23 @@ class SparseRREF:
 
 
 class SpanSolver:
-    """Exact membership test for the span of a fixed list of vectors.
+    """Coordinate chart of kernel_basis(rows, ncols), from the same rows.
 
-    solve(target) returns coefficients x with sum x_i * basis_i == target,
-    or raises ValueError when target is outside the span.  Used to restrict
-    operators to invariant subspaces, where inconsistency means the
-    subspace was not actually invariant.
-
-    Vector v_i enters a SparseRREF as the row (v_i, e_i), with e_i in
-    column width + i, so each pivot row carries the combination of the
-    v_i it came from.
+    solve(target) raises ValueError unless every reduced row vanishes on
+    target; otherwise it returns target's entries at the free columns,
+    its exact coordinates (ints for an integer target), since each basis
+    vector has a 1 at its own free column and a 0 at the others.
     """
 
-    def __init__(self, vectors):
-        self.width = len(vectors[0]) if vectors else 0
-        self.count = len(vectors)
-        self._ech = SparseRREF()
-        for i, v in enumerate(vectors):
-            row = dict(enumerate(v))
-            row[self.width + i] = 1
-            if self._ech.add_row(row) >= self.width:
-                raise ValueError("dependent basis vector")
+    def __init__(self, rows, ncols):
+        ech = SparseRREF()
+        for row in rows:
+            ech.add_row(row)
+        self._rows = [(list(row), list(row.values())) for row in ech.rows.values()]
+        self.free = [c for c in range(ncols) if c not in ech.rows]
 
     def solve(self, target):
-        # (target, 0) minus the eliminated pivot rows is (target - sum x_i v_i, -x)
-        rest = self._ech.reduce_vector(dict(enumerate(target)))
-        if any(c < self.width for c in rest):
-            raise ValueError("vector not in span")
-        return [-rest.get(self.width + i, Fraction(0)) for i in range(self.count)]
+        for cols, vals in self._rows:
+            if sum(map(mul, vals, map(target.__getitem__, cols))):
+                raise ValueError("vector not in the kernel")
+        return [target[c] for c in self.free]

@@ -42,7 +42,8 @@ len(family) * max(|a| + |b|, |c| + |d|)^w, and 2^(B-1) is taken above
 that bound, so each digit is read exactly from the low end in the
 balanced range [-2^(B-1), 2^(B-1)).  The images of the cuspidal basis
 vectors, each scaled by the lcm of its denominators, are summed in
-integers too, and one SpanSolver per space writes them in that basis.
+integers too; one SpanSolver per space, the chart of the boundary
+map's kernel, reads their coordinates off the free columns.
 
 Cremona's family is closed, up to sign, under h -> JhJ, J = [-1,0;0,1]
 (at p = 2 two members have no partner), and x.(JhJ) = ((x.J).h).J is
@@ -59,6 +60,7 @@ T_p's characteristic polynomial is multimodular (see linalg), bounded by
 Deligne's |a_p| <= 2 p^((k-1)/2), which also bounds U_p at p | M.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb, gcd, isqrt, lcm
@@ -388,6 +390,7 @@ class PlusQuotient:
                 rows.setdefault(ci, {})[col] = rows.get(ci, {}).get(col, 0) - 1
         self.cusp_count = len(cusps)
         self.cuspidal_basis = kernel_basis(rows.values(), self.quotient_dim)
+        self._chart = SpanSolver(rows.values(), self.quotient_dim)
         self.dim = len(self.cuspidal_basis)
         # the free generators hecke_matrix reads: at level 1 the boundary
         # generator i = w is not among them
@@ -398,7 +401,6 @@ class PlusQuotient:
             raise ConsistencyError(
                 f"cuspidal dimension {self.dim} != formula {expected} "
                 f"at (k={self.k}, M={self.M})")
-        self._solver = SpanSolver(self.cuspidal_basis)
 
     # -- Hecke action ----------------------------------------------------
 
@@ -482,13 +484,13 @@ class PlusQuotient:
                     m = x.numerator * (L // x.denominator)
                     img = [a + m * b for a, b in zip(img, cols[col])]
             try:
-                coeffs = self._solver.solve(img)
+                coeffs = self._chart.solve(img)
             except ValueError:
                 raise ConsistencyError(
                     f"T_{p} does not preserve the cuspidal subspace at "
                     f"(k={self.k}, M={self.M})") from None
             scale = L * self._den
-            images.append([c / scale for c in coeffs])
+            images.append([Fraction(c, scale) for c in coeffs])
         return [list(row) for row in zip(*images)]
 
 

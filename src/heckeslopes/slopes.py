@@ -22,7 +22,6 @@ from typing import NamedTuple
 from .dimensions import dim_cuspforms, dim_new_at_p
 from .errors import ConsistencyError
 from .exact import INFINITY, SlopeMultiset, is_prime, newton_slopes
-from .traceforms import charpoly_from_traces
 
 
 def _check_tame_pair(p, N):
@@ -62,6 +61,13 @@ def _modsym_charpoly(k, M, p):
     from . import modsym
 
     return modsym.charpoly_cuspidal(k, M, p)
+
+
+def charpoly_from_traces(k, N, p):
+    """traceforms.charpoly_from_traces(k, N, p), importing traceforms on the first call."""
+    from . import traceforms
+
+    return traceforms.charpoly_from_traces(k, N, p)
 
 
 def _fetch(store, p, level, k, route, compute):

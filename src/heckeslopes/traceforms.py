@@ -98,16 +98,16 @@ def default_table():
 
 
 def _gegenbauer(k, t, n):
-    """P_k(t, n): coefficient polynomial of the elliptic term.
-
-    p_0 = 1, p_1 = t, p_m = t p_{m-1} - n p_{m-2}; returns p_{k-2}.
+    """U_{k-1}(t, n), the coefficient polynomial of the elliptic term, where
+    U_0 = 0, U_1 = 1, U_{m+1} = t U_m - n U_{m-1}; by fast doubling over the
+    bits of k - 1: U_{2j} = U_j (2 U_{j+1} - t U_j), U_{2j+1} = U_{j+1}^2 - n U_j^2.
     """
-    pm2, pm1 = 1, t
-    if k == 2:
-        return 1
-    for _ in range(k - 3):
-        pm2, pm1 = pm1, t * pm1 - n * pm2
-    return pm1
+    u, v = 0, 1  # U_j, U_{j+1}, from j = 0
+    for bit in bin(k - 1)[2:]:
+        u, v = u * (2 * v - t * u), v * v - n * u * u
+        if bit == "1":
+            u, v = v, t * v - n * u
+    return u
 
 
 def _sigma_phi(e_minus_d, N):

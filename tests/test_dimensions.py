@@ -1,7 +1,11 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from heckeslopes.dimensions import (dim_cuspforms, dim_new_at_p, genus, nu2,
                                     nu3, nu_infinity, psi_index)
+from heckeslopes.exact import divisors, euler_phi, factorize
 
 # classical genus table for X_0(N)
 GENUS = {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0, 10: 0,
@@ -31,6 +35,15 @@ def test_elliptic_counts_are_root_counts():
     for N in range(1, 600):
         assert nu2(N) == sum((x * x + 1) % N == 0 for x in range(N)), N
         assert nu3(N) == sum((x * x + x + 1) % N == 0 for x in range(N)), N
+
+
+def test_counts_match_their_defining_sums():
+    for N in range(1, 2001):
+        assert nu_infinity(N) == sum(euler_phi(gcd(d, N // d)) for d in divisors(N)), N
+        psi = N
+        for q in factorize(N):
+            psi *= 1 + Fraction(1, q)
+        assert psi_index(N) == psi, N
 
 
 def test_genus_table():

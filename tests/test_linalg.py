@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -186,29 +186,59 @@ def test_sparse_rref_reads_between_inserts():
                     for c in pivots] == mat
 
 
+def _random_rows(rng, nrows, ncols, fractional):
+    """Sparse rows of ints, or of Fractions with denominators up to 3."""
+    def entry():
+        x = rng.randint(-4, 4)
+        return Fraction(x, rng.randint(1, 3)) if fractional else x
+    return [{c: entry() for c in range(ncols) if rng.random() < 0.6} for _ in range(nrows)]
+
+
 def test_span_solver_roundtrip():
+    # SpanSolver(rows, ncols) is the chart of kernel_basis(rows, ncols): an
+    # integer combination of the basis comes back as its coefficients, and
+    # over a common denominator as ints; dependent rows give the same chart
     rng = random.Random(21)
-    for _ in range(40):
-        dim = rng.randint(2, 6)
-        count = rng.randint(1, dim)
-        vectors = []
-        while len(vectors) < count:
-            cand = tuple(Fraction(rng.randint(-4, 4)) for _ in range(dim))
-            try:
-                SpanSolver(vectors + [cand])
-            except ValueError:
-                continue
-            vectors.append(cand)
-        solver = SpanSolver(vectors)
-        coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(count)]
-        target = [sum(c * vec[i] for c, vec in zip(coeffs, vectors))
-                  for i in range(dim)]
-        assert list(solver.solve(target)) == coeffs
+    for trial in range(40):
+        ncols = rng.randint(2, 7)
+        rows = _random_rows(rng, rng.randint(1, ncols), ncols, trial % 2)
+        basis = kernel_basis(rows, ncols)
+        chart = SpanSolver(rows, ncols)
+        assert len(chart.free) == len(basis)
+        coeffs = [rng.randint(-5, 5) for _ in basis]
+        target = [sum(c * vec[i] for c, vec in zip(coeffs, basis)) for i in range(ncols)]
+        assert chart.solve(target) == coeffs
+        den = lcm(*(x.denominator for x in target))
+        scaled = [x.numerator * (den // x.denominator) for x in target]
+        got = chart.solve(scaled)
+        assert got == [den * c for c in coeffs] and all(type(x) is int for x in got)
+        combo = {}
+        for row in rows:
+            m = rng.randint(-3, 3)
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + m * v
+        twin = SpanSolver(rows + [combo, rows[0]], ncols)
+        assert twin.free == chart.free and twin.solve(scaled) == got
 
 
 def test_span_solver_errors():
-    with pytest.raises(ValueError):
-        SpanSolver([(1, 0), (2, 0)])  # dependent family
-    solver = SpanSolver([(1, 0, 0), (0, 1, 0)])
-    with pytest.raises(ValueError):
-        solver.solve((0, 0, 1))  # outside the span
+    # the kernel of these rows is spanned by (1, 1, 1)
+    chart = SpanSolver([{0: 1, 2: -1}, {1: 2, 2: -2}], 3)
+    assert chart.free == [2] and chart.solve([3, 3, 3]) == [3]
+    for vec in ([1, 0, 0], [0, 1, 1], [1, 1, 2]):
+        with pytest.raises(ValueError):
+            chart.solve(vec)
+    # a kernel vector moved along a pivot column leaves the kernel: the
+    # reduced row of that pivot no longer vanishes on it
+    rng = random.Random(22)
+    for trial in range(40):
+        ncols = rng.randint(2, 7)
+        rows = _random_rows(rng, rng.randint(1, ncols), ncols, trial % 2)
+        basis = kernel_basis(rows, ncols)
+        chart = SpanSolver(rows, ncols)
+        vec = [sum(rng.randint(-5, 5) * b[i] for b in basis) for i in range(ncols)]
+        for c in set(range(ncols)) - set(chart.free):
+            moved = list(vec)
+            moved[c] += rng.choice((-1, 1)) * rng.randint(1, 3)
+            with pytest.raises(ValueError):
+                chart.solve(moved)

@@ -11,6 +11,7 @@ from math import gcd, lcm
 import pytest
 
 from heckeslopes.dimensions import dim_cuspforms
+from heckeslopes.errors import ConsistencyError
 from heckeslopes.exact import IntPolynomial, newton_slopes
 from heckeslopes.linalg import SparseRREF
 from heckeslopes.modsym import (
@@ -74,6 +75,21 @@ def test_hecke_index_guards():
     # primes only: heilbronn_cremona(1) is not the identity
     with pytest.raises(ValueError):
         q.hecke_matrix(1)
+
+
+@pytest.mark.parametrize("k, M, p", [(12, 1, 2), (4, 11, 3), (6, 30, 7)])
+def test_image_off_the_cuspidal_subspace_raises(k, M, p, monkeypatch):
+    # one Hecke column moved along a pivot column of the boundary chart: the
+    # first basis vector's image leaves the kernel of the boundary map, and
+    # the chart's row check must say so
+    space = PlusQuotient(k, M)
+    cols = space._quotient_hecke_columns(p)
+    pivot = min(set(range(space.quotient_dim)) - set(space._chart.free))
+    first = next(col for col, x in enumerate(space.cuspidal_basis[0]) if x)
+    cols[first][pivot] += 1
+    monkeypatch.setattr(space, "_quotient_hecke_columns", lambda n: cols)
+    with pytest.raises(ConsistencyError, match=f"T_{p} does not preserve"):
+        space.hecke_matrix(p)
 
 
 def test_hecke_matrix_matches_fraction_referee():

@@ -604,7 +604,8 @@ def test_cli_imports_no_numpy():
 def test_cli_start_up_loads_only_what_the_run_uses(tmp_path):
     # -S: no site .pth file imports anything before the package does
     probe = ("import sys, heckeslopes.cli; print(sorted(m for m in sys.modules if m in "
-             "('logging', 'dataclasses', 'heckeslopes.modsym', 'heckeslopes.linalg')))")
+             "('logging', 'dataclasses', 'heckeslopes.modsym', 'heckeslopes.linalg', "
+             "'heckeslopes.traceforms')))")
     run = _fresh_python("-S", "-c", probe)
     assert (run.stdout, run.returncode) == ("[]\n", 0), run.stderr
     # a survey whose every polynomial is a store hit never loads modsym
@@ -616,11 +617,18 @@ def test_cli_start_up_loads_only_what_the_run_uses(tmp_path):
     assert (warm.stdout, warm.returncode) == (cold.stdout, cold.returncode)
     assert "heckeslopes.modsym" in cold.stderr
     assert "heckeslopes.modsym" not in warm.stderr
+    assert "heckeslopes.traceforms" not in cold.stderr + warm.stderr
     # an in-memory witness run builds spaces but reads, digests and writes
     # no cache record
     probe = ("import sys; from heckeslopes import cli; "
              "code = cli.main(['witness', '--p', '59', '--N', '1', '--k-max', '12', "
              "'--cache', '']); print(code, sorted(m for m in sys.modules if m in "
-             "('heckeslopes.modsym', 'hashlib', 'json', 'tempfile')))")
+             "('heckeslopes.modsym', 'heckeslopes.traceforms', 'hashlib', 'json', "
+             "'tempfile')))")
     run = _fresh_python("-S", "-c", probe)
     assert run.stdout.splitlines()[-1] == "3 ['heckeslopes.modsym']", run.stderr
+    # the trace engine loads traceforms at its first polynomial
+    trace = _fresh_python("-S", "-X", "importtime", "-m", "heckeslopes.cli", "slopes",
+                          "--p", "2", "--N", "11", "--k-max", "4", "--engine", "trace",
+                          "--cache", "", cwd=tmp_path)
+    assert trace.returncode == 0 and "heckeslopes.traceforms" in trace.stderr, trace.stderr

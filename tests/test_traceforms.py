@@ -16,6 +16,7 @@ from heckeslopes.exact import IntPolynomial
 from heckeslopes.modsym import charpoly_cuspidal, plus_quotient
 from heckeslopes.traceforms import (
     ClassNumberTable,
+    _gegenbauer,
     _new_charpoly,
     charpoly_from_traces,
     default_table,
@@ -91,6 +92,17 @@ def test_trace_matches_primitive_form_reference():
                 if gcd(n, N) == 1:
                     assert trace_tn(k, N, n) == trace_reference(k, N, n), \
                         (k, N, n)
+
+
+def test_gegenbauer_matches_three_term_recurrence():
+    # p_0 = 1, p_1 = t, p_m = t p_{m-1} - n p_{m-2}; the elliptic term takes p_{k-2}
+    for t in (-60, -17, -5, -1, 0, 1, 2, 3, 11, 44):
+        for n in (1, 2, 5, 59, 961, 10**6 + 3):
+            seq = [1, t]
+            while len(seq) < 80:
+                seq.append(t * seq[-1] - n * seq[-2])
+            for k in range(2, 81):
+                assert _gegenbauer(k, t, n) == seq[k - 2], (k, t, n)
 
 
 def test_trace_pins():
