@@ -5,9 +5,11 @@ SparseRREF is the only Gaussian elimination.  It is fraction-free
 (Bareiss, Math. Comp. 22, 1968): it stores primitive integer rows, which
 the modular-symbols presentation reads directly.  Rows are kept in
 echelon form as they arrive and back-substituted once, from the last
-pivot, when the form is next read, so each stored row is rewritten once
-per read rather than once per later pivot.  kernel_basis reads kernel
-bases off the reduced form; SpanSolver is their coordinate chart.
+pivot, when rows is next read, so each stored row is rewritten once per
+read rather than once per later pivot; add_row and rows are all it has.
+SpanSolver eliminates a set of rows once and keeps the reduced rows and
+the free columns: the coordinate chart of their kernel, whose basis
+kernel_basis reads off the chart with no second elimination.
 
 charpoly_monic is multimodular (Stein, Modular Forms: A Computational
 Approach, GSM 79) and takes one bound: the caller promises an integral
@@ -39,28 +41,6 @@ from operator import mul, sub
 from .exact import is_prime
 
 __all__ = ["kernel_basis", "charpoly_monic", "SparseRREF", "SpanSolver"]
-
-
-def kernel_basis(rows, ncols):
-    """Basis of {v : A v = 0} for the matrix with the given sparse rows.
-
-    Rows are dicts {column: coefficient}.  One basis vector per free
-    column, in ascending free-column order; the vector for free column c
-    has a 1 there, so the basis is deterministic and echelon-shaped.
-    """
-    ech = SparseRREF()
-    for row in rows:
-        ech.add_row(row)
-    pivots = ech.pivot_rows
-    basis = []
-    for fc in range(ncols):
-        if fc not in pivots:
-            v = [Fraction(0)] * ncols
-            v[fc] = Fraction(1)
-            for pc, prow in pivots.items():
-                v[pc] = -prow.get(fc, Fraction(0))
-            basis.append(tuple(v))
-    return basis
 
 
 def _moduli():
@@ -202,30 +182,15 @@ def _make_primitive(row):
             row[k] //= g
 
 
-def _clear_pivots(w, hits, rows):
-    """(s * w minus multiples of rows[c], s) for the pivots c in hits, zero there.
-
-    Each rows[c] is zero at every pivot column but c, so scaling w once by
-    the lcm s of their pivot entries keeps every step integral.
-    """
-    scale = lcm(*(rows[c][c] for c in hits))
-    if scale != 1:
-        w = {k: v * scale for k, v in w.items()}
-    for c in hits:
-        _sub_multiple(w, w[c] // rows[c][c], rows[c])
-    return w, scale
-
-
 class SparseRREF:
     """Reduced echelon form of the span of sparse integer/rational rows.
 
     Rows are dicts {column: coefficient}.  add_row keeps an echelon form:
     one integer row per pivot column, primitive (entry gcd 1) and positive
-    at the pivot, which is its smallest column.  The first read of rows,
-    pivot_rows or reduce_vector after an insert back-substitutes once,
-    from the last pivot, so that every row is also zero at the other
-    pivot columns: the unique reduced echelon form of the span, each row
-    scaled to a primitive integer row.
+    at the pivot, which is its smallest column.  The first read of rows
+    after an insert back-substitutes once, from the last pivot, so that
+    every row is also zero at the other pivot columns: the unique reduced
+    echelon form of the span, each row scaled to a primitive integer row.
     """
 
     def __init__(self):
@@ -275,59 +240,63 @@ class SparseRREF:
         if not self._reduced:
             rows = self._rows
             # the rows of later pivots are reduced already, and each is zero
-            # at every other pivot column
+            # at every other pivot column, so scaling row once by the lcm of
+            # their pivot entries keeps every step integral
             for c in sorted(rows, reverse=True):
                 row = rows[c]
                 hits = [k for k in row if k != c and k in rows]
                 if hits:
-                    row, _ = _clear_pivots(row, hits, rows)
+                    scale = lcm(*(rows[h][h] for h in hits))
+                    if scale != 1:
+                        row = {k: v * scale for k, v in row.items()}
+                    for h in hits:
+                        _sub_multiple(row, row[h] // rows[h][h], rows[h])
                     _make_primitive(row)
                     rows[c] = row
             self._reduced = True
         return self._rows
 
-    @property
-    def pivot_columns(self):
-        return sorted(self._rows)
-
-    @property
-    def pivot_rows(self):
-        """The reduced echelon form: pivot column -> row of Fractions."""
-        return {c: {k: Fraction(v, row[c]) for k, v in row.items()}
-                for c, row in self.rows.items()}
-
-    def reduce_vector(self, vec):
-        """Image of a sparse vector in the quotient by the row span.
-
-        Eliminates pivot coordinates, leaving a vector supported on free
-        columns only; its entries are Fractions.
-        """
-        rows = self.rows
-        den = lcm(*(v.denominator for v in vec.values()))
-        w = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
-        w, scale = _clear_pivots(w, [c for c in w if c in rows], rows)
-        den *= scale
-        return {k: Fraction(v, den) for k, v in w.items()}
-
 
 class SpanSolver:
-    """Coordinate chart of kernel_basis(rows, ncols), from the same rows.
+    """The elimination of sparse rows, and the coordinate chart of their kernel.
 
-    solve(target) raises ValueError unless every reduced row vanishes on
-    target; otherwise it returns target's entries at the free columns,
-    its exact coordinates (ints for an integer target), since each basis
-    vector has a 1 at its own free column and a 0 at the others.
+    rows is the reduced echelon form of the given rows (pivot column ->
+    primitive integer row, as SparseRREF.rows) and free the other columns
+    below ncols.  solve(target) raises ValueError unless every reduced row
+    vanishes on target; otherwise it returns target's entries at the free
+    columns, its exact coordinates on kernel_basis(self) (ints for an
+    integer target), since each basis vector has a 1 at its own free
+    column and a 0 at the others.
     """
 
     def __init__(self, rows, ncols):
         ech = SparseRREF()
         for row in rows:
             ech.add_row(row)
-        self._rows = [(list(row), list(row.values())) for row in ech.rows.values()]
-        self.free = [c for c in range(ncols) if c not in ech.rows]
+        self.rows = ech.rows
+        self.ncols = ncols
+        self.free = [c for c in range(ncols) if c not in self.rows]
 
     def solve(self, target):
-        for cols, vals in self._rows:
-            if sum(map(mul, vals, map(target.__getitem__, cols))):
+        for row in self.rows.values():
+            if sum(map(mul, row.values(), map(target.__getitem__, row))):
                 raise ValueError("vector not in the kernel")
         return [target[c] for c in self.free]
+
+
+def kernel_basis(chart):
+    """Basis of the kernel of a SpanSolver's rows, read off its reduced form.
+
+    One basis vector per free column, in ascending order, as a tuple of
+    Fractions: the vector for free column c has a 1 there and
+    -prow[c] / prow[pc] at each pivot pc, so the basis is deterministic
+    and echelon-shaped.
+    """
+    basis = []
+    for c in chart.free:
+        v = [Fraction(0)] * chart.ncols
+        v[c] = Fraction(1)
+        for pc, prow in chart.rows.items():
+            v[pc] = Fraction(-prow.get(c, 0), prow[pc])
+        basis.append(tuple(v))
+    return basis

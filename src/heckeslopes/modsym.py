@@ -42,8 +42,10 @@ len(family) * max(|a| + |b|, |c| + |d|)^w, and 2^(B-1) is taken above
 that bound, so each digit is read exactly from the low end in the
 balanced range [-2^(B-1), 2^(B-1)).  The images of the cuspidal basis
 vectors, each scaled by the lcm of its denominators, are summed in
-integers too; one SpanSolver per space, the chart of the boundary
-map's kernel, reads their coordinates off the free columns.
+integers too.  One SpanSolver per space, the only elimination of the
+boundary rows, is the chart of the boundary map's kernel: the cuspidal
+basis is read off it, and it reads the images' coordinates off the free
+columns.
 
 Cremona's family is closed, up to sign, under h -> JhJ, J = [-1,0;0,1]
 (at p = 2 two members have no partner), and x.(JhJ) = ((x.J).h).J is
@@ -389,8 +391,8 @@ class PlusQuotient:
                 ci = self._cusp_index(cusps, b, d)
                 rows.setdefault(ci, {})[col] = rows.get(ci, {}).get(col, 0) - 1
         self.cusp_count = len(cusps)
-        self.cuspidal_basis = kernel_basis(rows.values(), self.quotient_dim)
         self._chart = SpanSolver(rows.values(), self.quotient_dim)
+        self.cuspidal_basis = kernel_basis(self._chart)
         self.dim = len(self.cuspidal_basis)
         # the free generators hecke_matrix reads: at level 1 the boundary
         # generator i = w is not among them

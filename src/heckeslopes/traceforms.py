@@ -23,8 +23,7 @@ from .errors import ConsistencyError, TraceBudgetExceeded
 from .exact import IntPolynomial, divisors, euler_phi, factorize
 
 __all__ = [
-    "DISC_CAP_DEFAULT", "ClassNumberTable",
-    "default_table", "trace_tn",
+    "DISC_CAP_DEFAULT", "ClassNumberTable", "trace_tn",
     "charpoly_from_traces", "trace_feasible",
 ]
 
@@ -40,14 +39,15 @@ class ClassNumberTable:
     """Sieved table of 6*H(n), a plain list of ints.
 
     Builds lazily to the request; a later, larger request rebuilds it at
-    least twice as long, and a request beyond `cap` raises
-    TraceBudgetExceeded instead of attempting a hopeless sieve.  Surveys
-    run in processes, each with its own table; the lock only lets a
-    library caller's threads share one instance.
+    least twice as long, and a request beyond `cap` (DISC_CAP_DEFAULT)
+    raises TraceBudgetExceeded instead of attempting a hopeless sieve.
+    The traces read the one module table; surveys run in processes, each
+    with its own, and the lock only lets a library caller's threads
+    share it.
     """
 
-    def __init__(self, cap=DISC_CAP_DEFAULT):
-        self.cap = cap
+    def __init__(self):
+        self.cap = DISC_CAP_DEFAULT
         self.limit = -1
         self._h6 = None
         self._lock = threading.Lock()
@@ -93,10 +93,6 @@ class ClassNumberTable:
 _DEFAULT_TABLE = ClassNumberTable()
 
 
-def default_table():
-    return _DEFAULT_TABLE
-
-
 def _gegenbauer(k, t, n):
     """U_{k-1}(t, n), the coefficient polynomial of the elliptic term, where
     U_0 = 0, U_1 = 1, U_{m+1} = t U_m - n U_{m-1}; by fast doubling over the
@@ -120,7 +116,7 @@ def _sigma_phi(e_minus_d, N):
     return total
 
 
-def trace_tn(k, N, n, table=None):
+def trace_tn(k, N, n):
     """Trace of T_n on S_k(Gamma_0(N)) for gcd(n, N) = 1, k even >= 2.
 
     Pure class-number arithmetic, valid at every level.  The elliptic
@@ -140,7 +136,7 @@ def trace_tn(k, N, n, table=None):
         raise ValueError("level and index must be >= 1")
     if gcd(n, N) != 1:
         raise ValueError(f"trace formula route needs gcd(n, N) = 1")
-    table = table or _DEFAULT_TABLE
+    table = _DEFAULT_TABLE
     if 4 * n > table.cap:
         raise TraceBudgetExceeded(
             f"tr T_{n} at level {N} needs class numbers up to {4 * n}, "
@@ -168,7 +164,8 @@ def trace_tn(k, N, n, table=None):
                 while Q % qj == 0 and D % (qj * qj) == 0:
                     count = sum(1 for x in roots
                                 if (x * x - t * x + n) % (Q * qj) == 0)
-                    nu = psi_index(Q) // psi_index(Q // qj) * count
+                    # psi(q^e) / psi(q^(e-j))
+                    nu = (qj if qj < Q else Q // q * (q + 1)) * count
                     local += [(c2 * qj * qj, lam * (nu - nu_prev))
                               for c2, lam in terms]
                     nu_prev, qj = nu, qj * q
@@ -310,7 +307,7 @@ def _new_charpoly(k, M, p, tr_new):
     return IntPolynomial(coeffs)
 
 
-def trace_feasible(k, N, p, table=None):
+def trace_feasible(k, N, p):
     """Whether charpoly_from_traces can run to completion for (k, N, p).
 
     Decided in advance: the class number table must reach 4 p B^2, where
@@ -318,11 +315,10 @@ def trace_feasible(k, N, p, table=None):
     tr T_n only for n <= p B^2, so True guarantees it never runs out of
     budget.  Every level is in reach otherwise.
     """
-    cap = (table or _DEFAULT_TABLE).cap
-    return 4 * p * _basis_bound(k, N) ** 2 <= cap
+    return 4 * p * _basis_bound(k, N) ** 2 <= _DEFAULT_TABLE.cap
 
 
-def charpoly_from_traces(k, N, p, table=None):
+def charpoly_from_traces(k, N, p):
     """det(1 - T_p X) on S_k(Gamma_0(N)), p not dividing N, from traces.
 
     The product over M | N of det(1 - T_p X) on S_k^new(M) (see
@@ -338,12 +334,11 @@ def charpoly_from_traces(k, N, p, table=None):
     dim = dim_cuspforms(k, N)
     if dim == 0:
         return IntPolynomial([1])
-    table = table or _DEFAULT_TABLE
     traces = {}  # (L, n) -> tr T_n on S_k(L), shared by the M | N
 
     def tr_level(L, n):
         if (L, n) not in traces:
-            traces[L, n] = trace_tn(k, L, n, table)
+            traces[L, n] = trace_tn(k, L, n)
         return traces[L, n]
 
     out = IntPolynomial([1])

@@ -19,7 +19,7 @@ def test_rref_pivots():
 
 def test_kernel_basis_shape():
     rows = [[1, 2, 0, 1], [0, 0, 1, 3]]
-    basis = kernel_basis([dict(enumerate(row)) for row in rows], 4)
+    basis = kernel_basis(SpanSolver([dict(enumerate(row)) for row in rows], 4))
     assert len(basis) == 2
     for vec in basis:
         assert sum(r * v for r, v in zip(rows[0], vec)) == 0
@@ -31,7 +31,7 @@ def test_kernel_of_random_systems():
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(m)] for _ in range(n)]
-        basis = kernel_basis([dict(enumerate(row)) for row in rows], m)
+        basis = kernel_basis(SpanSolver([dict(enumerate(row)) for row in rows], m))
         mat, pivots = rref(rows, m)
         assert len(basis) == m - len(pivots)
         # the basis read off the dense referee's echelon form, vector for vector
@@ -99,6 +99,22 @@ def test_charpoly_monic_root_bound_rejects():
         charpoly_monic([[0, 1], [2**200, 0]], root_bound=2)
 
 
+def _dense_rows(ech, pivots, ncols):
+    """The reduced rows of ech at the given pivots, as dense Fraction rows."""
+    return [[Fraction(ech.rows[c].get(j, 0), ech.rows[c][c]) for j in range(ncols)]
+            for c in pivots]
+
+
+def _reduce_vector(ech, vec):
+    """vec minus vec[c] times the reduced row of each pivot c, zeros dropped."""
+    out = dict(vec)
+    for c, row in ech.rows.items():
+        f = Fraction(out.get(c, 0), row[c])
+        for j, v in row.items():
+            out[j] = out.get(j, 0) - f * v
+    return {j: x for j, x in out.items() if x}
+
+
 def test_sparse_rref_matches_dense():
     rng = random.Random(3)
     for _ in range(40):
@@ -114,17 +130,16 @@ def test_sparse_rref_matches_dense():
             dense.append([row.get(c, Fraction(0)) for c in range(ncols)])
             sparse.add_row(row)
         mat, pivots = rref(dense, ncols)
-        assert sparse.pivot_columns == pivots
+        assert sorted(sparse.rows) == pivots
         # the reduced row echelon form is unique, so the rows agree too
-        assert [[sparse.pivot_rows[c].get(j, 0) for j in range(ncols)]
-                for c in pivots] == mat
-        # reduce_vector sends anything in the row span to zero
+        assert _dense_rows(sparse, pivots, ncols) == mat
+        # the reduced rows send anything in the row span to zero
         combo = [Fraction(0)] * ncols
         for row in dense:
             c = Fraction(rng.randint(-3, 3))
             for i, v in enumerate(row):
                 combo[i] += c * v
-        reduced = sparse.reduce_vector({i: v for i, v in enumerate(combo) if v})
+        reduced = _reduce_vector(sparse, {i: v for i, v in enumerate(combo) if v})
         assert not reduced
     # large integer and Fraction entries, and the exact image of vectors
     # outside the span
@@ -143,22 +158,22 @@ def test_sparse_rref_matches_dense():
             dense.append([row.get(c, 0) for c in range(ncols)])
             sparse.add_row(row)
         mat, pivots = rref(dense, ncols)
-        assert sparse.pivot_columns == pivots
-        assert [[sparse.pivot_rows[c].get(j, 0) for j in range(ncols)]
-                for c in pivots] == mat
+        assert sorted(sparse.rows) == pivots
+        assert _dense_rows(sparse, pivots, ncols) == mat
         vec = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999)) for _ in range(ncols)]
         # the dense reduction: subtract vec[c] times the echelon row of each pivot c
         image = [vec[j] - sum(vec[c] * mat[i][j] for i, c in enumerate(pivots))
                  for j in range(ncols)]
-        assert sparse.reduce_vector(dict(enumerate(vec))) == {
+        assert _reduce_vector(sparse, dict(enumerate(vec))) == {
             j: x for j, x in enumerate(image) if x}
         outside += any(image)
     assert outside >= 20
 
 
 def test_sparse_rref_reads_between_inserts():
-    # every read of rows, pivot_rows or reduce_vector must see the reduced
-    # form of all rows added so far, however reads and inserts interleave
+    # every read of rows, whether of the rows themselves or through the
+    # reduction of a vector, must see the reduced form of all rows added so
+    # far, however reads and inserts interleave
     rng = random.Random(16)
     for _ in range(30):
         ncols = rng.randint(3, 10)
@@ -180,10 +195,9 @@ def test_sparse_rref_reads_between_inserts():
                 vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ncols)]
                 image = [vec[j] - sum(vec[c] * mat[i][j] for i, c in enumerate(pivots))
                          for j in range(ncols)]
-                assert sparse.reduce_vector(dict(enumerate(vec))) == {
+                assert _reduce_vector(sparse, dict(enumerate(vec))) == {
                     j: x for j, x in enumerate(image) if x}
-            assert [[sparse.pivot_rows[c].get(j, 0) for j in range(ncols)]
-                    for c in pivots] == mat
+            assert _dense_rows(sparse, pivots, ncols) == mat
 
 
 def _random_rows(rng, nrows, ncols, fractional):
@@ -195,15 +209,15 @@ def _random_rows(rng, nrows, ncols, fractional):
 
 
 def test_span_solver_roundtrip():
-    # SpanSolver(rows, ncols) is the chart of kernel_basis(rows, ncols): an
+    # SpanSolver(rows, ncols) is the chart of its kernel_basis: an
     # integer combination of the basis comes back as its coefficients, and
     # over a common denominator as ints; dependent rows give the same chart
     rng = random.Random(21)
     for trial in range(40):
         ncols = rng.randint(2, 7)
         rows = _random_rows(rng, rng.randint(1, ncols), ncols, trial % 2)
-        basis = kernel_basis(rows, ncols)
         chart = SpanSolver(rows, ncols)
+        basis = kernel_basis(chart)
         assert len(chart.free) == len(basis)
         coeffs = [rng.randint(-5, 5) for _ in basis]
         target = [sum(c * vec[i] for c, vec in zip(coeffs, basis)) for i in range(ncols)]
@@ -234,8 +248,8 @@ def test_span_solver_errors():
     for trial in range(40):
         ncols = rng.randint(2, 7)
         rows = _random_rows(rng, rng.randint(1, ncols), ncols, trial % 2)
-        basis = kernel_basis(rows, ncols)
         chart = SpanSolver(rows, ncols)
+        basis = kernel_basis(chart)
         vec = [sum(rng.randint(-5, 5) * b[i] for b in basis) for i in range(ncols)]
         for c in set(range(ncols)) - set(chart.free):
             moved = list(vec)

@@ -10,6 +10,7 @@ from math import gcd, lcm
 
 import pytest
 
+from heckeslopes import linalg
 from heckeslopes.dimensions import dim_cuspforms
 from heckeslopes.errors import ConsistencyError
 from heckeslopes.exact import IntPolynomial, newton_slopes
@@ -284,6 +285,23 @@ def test_p1_table_matches_reference():
         assert (p1.points, p1.table) == p1_reference(M), M
 
 
+@pytest.mark.parametrize("k, M", [(12, 1), (4, 11), (6, 30), (2, 49)])
+def test_boundary_rows_are_eliminated_once(k, M, monkeypatch):
+    # the chart is the only elimination of the boundary rows: the cuspidal
+    # basis is read off it, not off a second echelon form
+    made = []
+
+    class Counting(linalg.SparseRREF):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr("heckeslopes.linalg.SparseRREF", Counting)
+    space = PlusQuotient(k, M)
+    assert len(made) == 1
+    assert made[0].rows is space._chart.rows
+
+
 @pytest.mark.parametrize("k, M", [(4, 11), (6, 30), (10, 23)])
 def test_presentation_matches_dense_rref(k, M, monkeypatch):
     # the three-term relation rows the presentation feeds its elimination
@@ -303,7 +321,7 @@ def test_presentation_matches_dense_rref(k, M, monkeypatch):
     (ech,) = echelons
     cols = sorted({c for row in fed for c in row})
     mat, pivots = rref([[row.get(c, 0) for c in cols] for row in fed], len(cols))
-    assert ech.pivot_columns == [cols[j] for j in pivots]
+    assert sorted(ech.rows) == [cols[j] for j in pivots]
     assert [[Fraction(ech.rows[cols[j]].get(c, 0), ech.rows[cols[j]][cols[j]]) for c in cols]
             for j in pivots] == mat
     for c, row in ech.rows.items():

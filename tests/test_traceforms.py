@@ -12,6 +12,7 @@ import pytest
 
 from heckeslopes.dimensions import dim_cuspforms
 from heckeslopes.errors import TraceBudgetExceeded
+from heckeslopes import traceforms
 from heckeslopes.exact import IntPolynomial
 from heckeslopes.modsym import charpoly_cuspidal, plus_quotient
 from heckeslopes.traceforms import (
@@ -19,7 +20,6 @@ from heckeslopes.traceforms import (
     _gegenbauer,
     _new_charpoly,
     charpoly_from_traces,
-    default_table,
     trace_feasible,
     trace_tn,
 )
@@ -51,7 +51,7 @@ def test_hurwitz_matches_reference_oracle():
 
 
 def test_sieved_table_matches_direct_count():
-    table = default_table()
+    table = traceforms._DEFAULT_TABLE
     for n in range(1, 401):
         assert table.h6(n) == 6 * hurwitz_class_number(n), n
     with pytest.raises(ValueError):
@@ -59,7 +59,7 @@ def test_sieved_table_matches_direct_count():
 
 
 def test_table_grows_to_the_request():
-    table = ClassNumberTable(cap=2_000_000)
+    table = ClassNumberTable()
     table.ensure(500)
     assert table.limit == 500      # the first build fits the request
     table.ensure(600)
@@ -145,14 +145,15 @@ def test_trace_argument_guards():
         trace_tn(2, 0, 1)
 
 
-def test_trace_budget_exception_carries_context():
-    small = ClassNumberTable(cap=200)
+def test_trace_budget_exception_carries_context(monkeypatch):
+    monkeypatch.setattr(traceforms, "DISC_CAP_DEFAULT", 200)
+    monkeypatch.setattr(traceforms, "_DEFAULT_TABLE", ClassNumberTable())
     with pytest.raises(TraceBudgetExceeded) as ei:
-        trace_tn(2, 1, 300, table=small)
+        trace_tn(2, 1, 300)
     assert ei.value.k == 2 and ei.value.N == 1 and ei.value.n == 300
     with pytest.raises(TraceBudgetExceeded) as ei:
         # basis T_1, T_2, T_3 of dim 3: tr T_7 T_3 T_3 needs tr T_63
-        charpoly_from_traces(4, 13, 7, table=small)
+        charpoly_from_traces(4, 13, 7)
     assert ei.value.k == 4 and ei.value.N == 13 and ei.value.n == 63
 
 
@@ -163,14 +164,14 @@ def test_trace_feasibility_rule():
     assert trace_feasible(2, 32, 3)         # every level is in reach
 
 
-def hecke_power_traces(k, N, p, count, table=None):
+def hecke_power_traces(k, N, p, count):
     """Power sums s_m = tr(T_p^m) on S_k(Gamma_0(N)) for m = 1..count.
 
     Converts tr T_{p^j} into traces of plain matrix powers through the
     Hecke recursion T_p T_{p^j} = T_{p^(j+1)} + p^(k-1) T_{p^(j-1)}.
     """
     dim = dim_cuspforms(k, N)
-    t = [dim] + [trace_tn(k, N, p ** j, table) for j in range(1, count + 1)]
+    t = [dim] + [trace_tn(k, N, p ** j) for j in range(1, count + 1)]
     scale = p ** (k - 1)
     out = []
     a = [0, 1]  # X = q_1
