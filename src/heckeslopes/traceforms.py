@@ -23,8 +23,7 @@ from .errors import ConsistencyError, TraceBudgetExceeded
 from .exact import IntPolynomial, divisors, euler_phi, factorize
 
 __all__ = [
-    "DISC_CAP_DEFAULT", "ClassNumberTable", "trace_tn",
-    "charpoly_from_traces", "trace_feasible",
+    "DISC_CAP_DEFAULT", "trace_tn", "charpoly_from_traces", "trace_feasible",
 ]
 
 # largest |t^2 - 4n| the bundled class number table will sieve; covers
@@ -39,15 +38,13 @@ class ClassNumberTable:
     """Sieved table of 6*H(n), a plain list of ints.
 
     Builds lazily to the request; a later, larger request rebuilds it at
-    least twice as long, and a request beyond `cap` (DISC_CAP_DEFAULT)
-    raises TraceBudgetExceeded instead of attempting a hopeless sieve.
-    The traces read the one module table; surveys run in processes, each
-    with its own, and the lock only lets a library caller's threads
-    share it.
+    least twice as long, and a request beyond DISC_CAP_DEFAULT raises
+    TraceBudgetExceeded instead of attempting a hopeless sieve.  The
+    traces read the one module table; surveys run in processes, each with
+    its own, and the lock only lets a library caller's threads share it.
     """
 
     def __init__(self):
-        self.cap = DISC_CAP_DEFAULT
         self.limit = -1
         self._h6 = None
         self._lock = threading.Lock()
@@ -55,13 +52,14 @@ class ClassNumberTable:
     def ensure(self, n):
         if n <= self.limit:
             return
-        if n > self.cap:
+        if n > DISC_CAP_DEFAULT:
             raise TraceBudgetExceeded(
-                f"class number table capped at {self.cap}, need {n}", n=n)
+                f"class number table capped at {DISC_CAP_DEFAULT}, "
+                f"need {n}", n=n)
         with self._lock:
             if n <= self.limit:
                 return
-            self._build(min(self.cap, max(n, 2 * self.limit)))
+            self._build(min(DISC_CAP_DEFAULT, max(n, 2 * self.limit)))
 
     def _build(self, L):
         h6 = [0] * (L + 1)
@@ -136,11 +134,11 @@ def trace_tn(k, N, n):
         raise ValueError("level and index must be >= 1")
     if gcd(n, N) != 1:
         raise ValueError(f"trace formula route needs gcd(n, N) = 1")
-    table = _DEFAULT_TABLE
-    if 4 * n > table.cap:
+    if 4 * n > DISC_CAP_DEFAULT:
         raise TraceBudgetExceeded(
             f"tr T_{n} at level {N} needs class numbers up to {4 * n}, "
-            f"cap is {table.cap}", k=k, N=N, n=n)
+            f"cap is {DISC_CAP_DEFAULT}", k=k, N=N, n=n)
+    table = _DEFAULT_TABLE
     table.ensure(4 * n)
 
     psi = psi_index(N)
@@ -315,7 +313,7 @@ def trace_feasible(k, N, p):
     tr T_n only for n <= p B^2, so True guarantees it never runs out of
     budget.  Every level is in reach otherwise.
     """
-    return 4 * p * _basis_bound(k, N) ** 2 <= _DEFAULT_TABLE.cap
+    return 4 * p * _basis_bound(k, N) ** 2 <= DISC_CAP_DEFAULT
 
 
 def charpoly_from_traces(k, N, p):

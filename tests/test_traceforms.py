@@ -58,7 +58,8 @@ def test_sieved_table_matches_direct_count():
         table.h6(0)
 
 
-def test_table_grows_to_the_request():
+def test_table_grows_to_the_request(monkeypatch):
+    monkeypatch.setattr(traceforms, "DISC_CAP_DEFAULT", 2_000_000)
     table = ClassNumberTable()
     table.ensure(500)
     assert table.limit == 500      # the first build fits the request
@@ -67,7 +68,7 @@ def test_table_grows_to_the_request():
     for n in range(490, 621):      # across the old boundary
         assert table.h6(n) == 6 * hurwitz_class_number(n), n
     table.ensure(150_000)
-    assert 150_000 <= table.limit < table.cap
+    assert 150_000 <= table.limit < traceforms.DISC_CAP_DEFAULT
 
 
 def test_trace_matches_primitive_form_reference():
@@ -147,7 +148,6 @@ def test_trace_argument_guards():
 
 def test_trace_budget_exception_carries_context(monkeypatch):
     monkeypatch.setattr(traceforms, "DISC_CAP_DEFAULT", 200)
-    monkeypatch.setattr(traceforms, "_DEFAULT_TABLE", ClassNumberTable())
     with pytest.raises(TraceBudgetExceeded) as ei:
         trace_tn(2, 1, 300)
     assert ei.value.k == 2 and ei.value.N == 1 and ei.value.n == 300
