@@ -124,8 +124,7 @@ class CharpolyCache:
     def load(self):
         self.rejects = []
         if self.path is None or not os.path.exists(self.path):
-            return 0
-        kept = 0
+            return
         stored = {}
         with open(self.path, "rb") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -138,10 +137,8 @@ class CharpolyCache:
                     self.rejects.append((lineno, str(exc)))
                     continue
                 stored[rec.key] = rec
-                kept += 1
         self.records.update(stored)
         self._stored = stored
-        return kept
 
     def get(self, p, level, weight, engine):
         rec = self.records.get((p, level, weight, operator_label(p, level), engine))

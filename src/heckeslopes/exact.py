@@ -137,17 +137,18 @@ def _vp(n, p):
 def valuation(r, p):
     """p-adic valuation of a rational, normalized so valuation(p, p) == 1.
 
-    Returns an int, or INFINITY for r == 0.  Signs are ignored.
+    r must be an int or a Fraction.  Returns an int, or INFINITY for r == 0.
+    Signs are ignored.
     """
     if not is_prime(p):
         raise ValueError(f"valuation needs a prime, got {p}")
-    if isinstance(r, Fraction):
-        if r == 0:
-            return INFINITY
-        return _vp(r.numerator, p) - _vp(r.denominator, p)
+    if not isinstance(r, (int, Fraction)):
+        raise TypeError(f"valuation needs an int or a Fraction, got {type(r)!r}")
     if r == 0:
         return INFINITY
-    return _vp(abs(int(r)), p)
+    if isinstance(r, Fraction):
+        return _vp(r.numerator, p) - _vp(r.denominator, p)
+    return _vp(abs(r), p)
 
 
 # ----------------------------------------------------------------------

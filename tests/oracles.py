@@ -15,8 +15,10 @@ presentation, so they referee the assembly, not the presentation.
 P^1(Z/M) points are reduced one pair at a time by extended gcds, where
 the package scans unit orbits.  The Manin-symbol relations are written
 out in full, one of each kind per symbol, from the matrix action on
-polynomials and points, where the package unites two-term and star pairs
-and writes three-term relations at one point per orbit.
+polynomials and points, where the package takes two-term and star classes
+as orbits and writes three-term relations at one point per orbit.  Those
+orbits are refereed by a signed union-find over the same pairs, united one
+relation at a time.
 
 The last section is not a referee: criterion 7's 2-refinement check
 builds on the package's regularity verdicts and lives here because only
@@ -557,6 +559,64 @@ def manin_relations(k, M):
             two.append(relation((1, x), (-1, act(i, t, jay))))
             three.append(relation((1, x), (1, act(i, t, tau)), (1, act(i, t, tau2))))
     return (w + 1) * n, two, three
+
+
+# ----------------------------------------------------------------------
+# two-term and star classes by a signed union-find
+
+class _SignedDSU:
+    """Union-find tracking e_x = sign * e_root, with dead (forced zero) classes."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.sign = [1] * n
+        self.dead = [False] * n
+
+    def find(self, x):
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        # path compression: walk back from the node nearest the root,
+        # accumulating the sign to the root as we go
+        acc = 1
+        for y in reversed(path):
+            acc *= self.sign[y]
+            self.parent[y] = x
+            self.sign[y] = acc
+        return x, acc if path else 1
+
+    def union(self, a, b, rel):
+        """Impose e_a = rel * e_b."""
+        ra, sa = self.find(a)
+        rb, sb = self.find(b)
+        s = sa * rel * sb
+        if ra == rb:
+            if s == -1:
+                self.dead[ra] = True
+            return
+        self.parent[ra] = rb
+        self.sign[ra] = s
+        if self.dead[ra]:
+            self.dead[rb] = True
+
+
+def signed_classes_reference(w, npts, sig, jay):
+    """(root, sign, dead) of every generator x = i * npts + t under the
+    two-term relation x + (-1)^i (w-i, sig[t]) = 0 and the star fold
+    x = (-1)^i (i, jay[t]), united one relation at a time."""
+    dsu = _SignedDSU((w + 1) * npts)
+    for i in range(w + 1):
+        even = 1 if i % 2 == 0 else -1
+        for t in range(npts):
+            x = i * npts + t
+            dsu.union(x, (w - i) * npts + sig[t], -even)
+            dsu.union(x, i * npts + jay[t], even)
+    out = []
+    for x in range((w + 1) * npts):
+        r, s = dsu.find(x)
+        out.append((r, s, dsu.dead[r]))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,10 @@ def test_valuation_pins():
     assert valuation(1, 7) == 0
     assert valuation(Fraction(3, 8), 2) == -3
     assert valuation(Fraction(-9, 5), 3) == 2
+    # a float is refused, not truncated (2.5 would read as 2, valuation 1)
+    for r in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            valuation(r, 2)
 
 
 def test_valuation_rejects_nonprime():

@@ -18,6 +18,7 @@ from heckeslopes.linalg import SparseRREF
 from heckeslopes.modsym import (
     P1List,
     PlusQuotient,
+    _classes,
     _hecke_family,
     charpoly_cuspidal,
     heilbronn_cremona,
@@ -34,6 +35,7 @@ from oracles import (
     manin_relations,
     p1_reference,
     rref,
+    signed_classes_reference,
 )
 
 
@@ -283,6 +285,54 @@ def test_p1_table_matches_reference():
     for M in range(1, 61):
         p1 = P1List(M)
         assert (p1.points, p1.table) == p1_reference(M), M
+
+
+def _point_maps(M):
+    """P^1(Z/M), with the point maps of sigma = [0,-1;1,0] and J = [-1,0;0,1]."""
+    p1 = P1List(M)
+    sig = [p1.index(d, -c) for c, d in p1.points]
+    jay = [p1.index(-c, d) for c, d in p1.points]
+    return p1, sig, jay
+
+
+def _blocks(roots):
+    """The classes of a (root, ...) list, as sets of generators by root."""
+    blocks = {}
+    for x, (r, *_) in enumerate(roots):
+        blocks.setdefault(r, set()).add(x)
+    return blocks
+
+
+def test_orbit_classes_match_signed_union_find():
+    # every two-term and star class is an orbit {x, Sx, Jx, SJx}; the
+    # union-find unites the same pairs one relation at a time
+    grid = [(k, M) for k in range(2, 17, 2) for M in range(1, 61)] + [(12, 70), (16, 143)]
+    for k, M in grid:
+        p1, sig, jay = _point_maps(M)
+        got = _classes(k - 2, len(p1), sig, jay)
+        want = signed_classes_reference(k - 2, len(p1), sig, jay)
+        got_blocks = _blocks(got)
+        assert sorted(map(sorted, got_blocks.values())) == \
+            sorted(map(sorted, _blocks(want).values())), (k, M)
+        pick = max if M == 1 else min
+        for r, block in got_blocks.items():
+            assert {want[x][2] for x in block} == {got[x][1] == 0 for x in block}, (k, M, r)
+            if got[r][1]:
+                # the root is the least member (the greatest at level 1), it
+                # stands for itself, and both agree on every relative sign
+                assert r == pick(block) and got[r] == (r, 1), (k, M, r)
+                assert len({got[x][1] * want[x][1] for x in block}) == 1, (k, M, r)
+
+
+@pytest.mark.parametrize("k, M", [(12, 1), (4, 11), (6, 30), (12, 70)])
+def test_free_generators_are_least_orbit_members(k, M):
+    # the quotient's free generators are orbit roots: the least member of
+    # their class, or the greatest at level 1
+    p1, sig, jay = _point_maps(M)
+    blocks = _blocks(signed_classes_reference(k - 2, len(p1), sig, jay))
+    pick = max if M == 1 else min
+    member_of = {x: block for block in blocks.values() for x in block}
+    assert all(r == pick(member_of[r]) for r in plus_quotient(k, M).free_roots)
 
 
 @pytest.mark.parametrize("k, M", [(12, 1), (4, 11), (6, 30), (2, 49)])

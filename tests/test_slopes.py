@@ -203,6 +203,41 @@ def test_minimal_witness_report_inconclusive():
     assert row.status.startswith("inconclusive")
 
 
+# (p, N) -> (j, first even k <= j + 2(p-1) with a non-integral U_p slope at
+# level Np) for every irregular pair with p <= 13, p not dividing N, N <= 24
+FIRST_FRACTIONAL_WEIGHT = {
+    (2, 5): (4, 4), (2, 9): (4, 4), (2, 11): (2, 2), (2, 13): (4, 4), (2, 15): (4, 4),
+    (2, 17): (4, 4), (2, 19): (2, 2), (2, 21): (4, 4), (3, 17): (2, 2), (5, 9): (4, 4),
+    (5, 14): (2, 2), (5, 18): (4, 4), (7, 15): (2, 2), (7, 17): (4, 10), (7, 22): (4, 10),
+    (7, 24): (2, 2), (11, 8): (4, 14), (11, 9): (4, 4), (11, 10): (6, 16), (11, 14): (2, 2),
+    (11, 16): (4, 14), (11, 17): (2, 2), (11, 18): (4, 4), (11, 20): (2, 2), (11, 24): (4, 14),
+    (13, 5): (6, 18), (13, 9): (8, 20), (13, 10): (6, 18), (13, 15): (6, 18), (13, 18): (8, 20),
+    (13, 20): (6, 18), (13, 21): (6, 10), (13, 24): (6, 18),
+}
+
+
+def test_irregular_pairs_have_non_integral_slopes_on_a_grid():
+    # the paper's theorem: an irregular pair has a non-integral U_p slope at
+    # some weight; here always by j + 2(p-1), and at j or j + (p-1) except
+    # at (13, 21), whose witness (10, 1/2) lies between them
+    store = CharpolyCache(engine="trace")
+    found = {}
+    for p in (2, 3, 5, 7, 11, 13):
+        for N in range(1, 25):
+            if N % p == 0:
+                continue
+            j = is_regular(p, N, store).j
+            if j is None:
+                continue
+            found[p, N] = (j, next(
+                (k for k in range(2, j + 2 * (p - 1) + 1, 2)
+                 if any(s is not INFINITY and Fraction(s).denominator != 1
+                        for s, _ in up_assembly(HeckeContext(p, N, k), store).combined)),
+                None))
+    assert found == FIRST_FRACTIONAL_WEIGHT
+    assert [pn for pn, (j, k) in found.items() if k not in (j, j + pn[0] - 1)] == [(13, 21)]
+
+
 def test_witness_label():
     assert witness_label(2, 2, 2) == "k = j"
     assert witness_label(59, 16, 74) == "k = j + (p-1)"

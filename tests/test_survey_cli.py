@@ -480,6 +480,25 @@ def test_cli_witness_inconclusive(capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("engine", ["modsym", "both"])
+def test_cli_witness_golden_mismatch_at_13_21(engine, capsys):
+    # T_13 has slope 1 at k = 6 = j and slopes {0 x20, 1/2 x2} at k = 10,
+    # so the minimal witness is neither j nor j + (p-1); both engines agree
+    assert main(["witness", "--p", "13", "--N", "21", "--engine", engine,
+                 "--format", "csv", "--cache", ""]) == 0
+    assert capsys.readouterr().out == CSV_HEADER + "\n13,21,irregular,6,10,1/2,false,ok\n"
+    assert main(["witness", "--p", "13", "--N", "21", "--engine", engine, "--cache", ""]) == 0
+    assert capsys.readouterr().out.endswith(
+        "minimal witness weight vs {j, j+(p-1)}: mismatch: minimal witness k=10 outside {6, 18}\n")
+
+
+def test_cli_witness_golden_inconclusive_at_2_5(capsys):
+    # j = 4, and at k = 4 the U_2 slope is 3/2, non-integral but outside
+    # (0, 1): no weight up to the default bound 50 has a slope in (0, 1)
+    assert main(["witness", "--p", "2", "--N", "5", "--format", "csv", "--cache", ""]) == 3
+    assert capsys.readouterr().out == CSV_HEADER + "\n2,5,irregular,4,,,,inconclusive\n"
+
+
 def test_cli_witness_regular_pair(capsys):
     assert main(["witness", "--p", "3", "--N", "11", "--cache", ""]) == 0
     out = capsys.readouterr().out
