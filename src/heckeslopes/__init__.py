@@ -22,8 +22,8 @@ _EXPORTS = {
     "cache": ("CacheRecord", "CharpolyCache", "operator_label"),
     "dimensions": ("dim_cuspforms", "dim_new_at_p", "genus"),
     "errors": ("ConsistencyError", "TraceBudgetExceeded"),
-    "exact": ("INFINITY", "IntPolynomial", "NewtonPolygon", "SlopeMultiset",
-              "inverse_charpoly", "newton_slopes", "valuation"),
+    "exact": ("IntPolynomial", "SlopeMultiset", "inverse_charpoly", "newton_slopes",
+              "valuation"),
     "modsym": ("charpoly_cuspidal", "plus_quotient"),
     "slopes": ("HeckeContext", "RegularityVerdict", "UpSlopeAssembly", "Witness",
                "default_witness_bound", "find_fractional_witness", "is_regular",

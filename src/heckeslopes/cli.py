@@ -15,6 +15,7 @@ import sys
 from .cache import ENGINES, CharpolyCache
 from .dimensions import dim_cuspforms
 from .errors import ConsistencyError, TraceBudgetExceeded
+from .exact import is_prime
 from .slopes import (HeckeContext, charpoly_from_traces, is_regular, regularity_weight_range,
                      tp_slopes, up_assembly, up_slopes_direct, witness_label)
 from .survey import (COLUMNS, FORMATS, SurveyConfig, compute_pair, render_report,
@@ -63,6 +64,15 @@ def _parse_int_set(text):
     if any(v < 1 for v in out):
         raise ValueError("levels and primes must be positive")
     return tuple(sorted(out))
+
+
+def _parse_primes(text):
+    """_parse_int_set for a --p list, refusing any non-prime before work starts."""
+    primes = _parse_int_set(text)
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError("p must be prime, got %d" % p)
+    return primes
 
 
 def search_bound(text):
@@ -166,7 +176,7 @@ def cmd_witness(args):
 # survey
 
 def cmd_survey(args):
-    primes = _parse_int_set(args.p)
+    primes = _parse_primes(args.p)
     levels = _parse_int_set(args.N)
     if args.workers < 1:
         raise ValueError("--workers must be at least 1, got %d" % args.workers)
@@ -199,7 +209,7 @@ def trace_feasible(k, N, p):
 def cmd_crosscheck(args):
     from .modsym import charpoly_cuspidal
 
-    primes = _parse_int_set(args.p)
+    primes = _parse_primes(args.p)
     levels = _parse_int_set(args.N)
     store = _open_store(args)
     failures = []
@@ -314,8 +324,11 @@ def main(argv=None):
     except (ValueError, TraceBudgetExceeded) as exc:  # bad input, or out of reach
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError: must come before the clause below
         return EXIT_OK
+    except OSError as exc:  # an unusable --cache path, say
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: p-adic valuations, integer polynomials,
-Newton polygons and slope multisets.
+Newton polygon slopes and slope multisets.
 
 Everything here is pure and immutable; values are Python ints and
 fractions.Fraction throughout, never floats.
@@ -8,8 +8,7 @@ fractions.Fraction throughout, never floats.
 from fractions import Fraction
 
 __all__ = [
-    "INFINITY", "IntPolynomial", "NewtonPolygon", "SlopeMultiset",
-    "valuation", "newton_slopes", "inverse_charpoly",
+    "IntPolynomial", "SlopeMultiset", "valuation", "newton_slopes", "inverse_charpoly",
     "is_prime", "factorize", "divisors", "euler_phi",
 ]
 
@@ -84,47 +83,6 @@ def euler_phi(n):
 # ----------------------------------------------------------------------
 # p-adic valuation
 
-class _PlusInfinity:
-    """Valuation of zero; compares above every rational and absorbs addition."""
-
-    _instance = None
-    __slots__ = ()
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "+Infinity"
-
-    def __eq__(self, other):
-        return isinstance(other, _PlusInfinity)
-
-    def __hash__(self):
-        return hash("padic+infinity")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _PlusInfinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, _PlusInfinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-
-INFINITY = _PlusInfinity()
-
-
 def _vp(n, p):
     # valuation of a nonzero integer
     v = 0
@@ -137,15 +95,15 @@ def _vp(n, p):
 def valuation(r, p):
     """p-adic valuation of a rational, normalized so valuation(p, p) == 1.
 
-    r must be an int or a Fraction.  Returns an int, or INFINITY for r == 0.
-    Signs are ignored.
+    r must be a nonzero int or Fraction; zero has no finite valuation and
+    raises ValueError.  Signs are ignored.
     """
     if not is_prime(p):
         raise ValueError(f"valuation needs a prime, got {p}")
     if not isinstance(r, (int, Fraction)):
         raise TypeError(f"valuation needs an int or a Fraction, got {type(r)!r}")
     if r == 0:
-        return INFINITY
+        raise ValueError("valuation of zero")
     if isinstance(r, Fraction):
         return _vp(r.numerator, p) - _vp(r.denominator, p)
     return _vp(abs(r), p)
@@ -221,44 +179,7 @@ class IntPolynomial:
 
 
 # ----------------------------------------------------------------------
-# Newton polygons
-
-class NewtonPolygon:
-    """Lower convex hull of the points (i, v_p(c_i)) of a polynomial.
-
-    vertices: [(index, valuation)] along the hull, indices strictly increasing.
-    segments: [(slope, horizontal_length)] with strictly increasing slopes
-    (collinear points are merged into one segment).
-    """
-
-    __slots__ = ("vertices", "segments")
-
-    def __init__(self, vertices, segments):
-        self.vertices = tuple(vertices)
-        self.segments = tuple(segments)
-
-    @classmethod
-    def of_polynomial(cls, f, p):
-        f = f.trimmed()
-        pts = [(i, valuation(c, p)) for i, c in enumerate(f.coeffs) if c != 0]
-        if not pts:
-            raise ValueError("Newton polygon of the zero polynomial")
-        hull = []
-        for pt in pts:
-            # pop while the turn through the last two points is not strictly convex;
-            # >= 0 also removes collinear middles, merging their segments
-            while len(hull) >= 2:
-                (x1, y1), (x2, y2) = hull[-2], hull[-1]
-                if (y2 - y1) * (pt[0] - x2) >= (pt[1] - y2) * (x2 - x1):
-                    hull.pop()
-                else:
-                    break
-            hull.append(pt)
-        segs = []
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            segs.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
-        return cls(hull, segs)
-
+# slope multisets and Newton polygons
 
 class SlopeMultiset:
     """Sorted multiset of rational slopes with multiplicities."""
@@ -319,15 +240,25 @@ def newton_slopes(f, p):
     f must have constant coefficient 1 (reversed characteristic polynomial
     convention).  For f = prod(1 - lam_i X) the result is exactly the
     multiset of valuations v_p(lam_i) over the nonzero lam_i: the polygon
-    runs from (0,0) and each segment of slope s and length m contributes
-    m roots of valuation s.
+    is the lower convex hull of the points (i, v_p(c_i)) over the nonzero
+    coefficients, it runs from (0,0), and each segment of slope s and
+    length m contributes m roots of valuation s.
     """
     if f.coeffs[0] != 1:
         raise ValueError("expected constant coefficient 1")
-    if f.degree <= 0:
-        return SlopeMultiset()
-    np_ = NewtonPolygon.of_polynomial(f, p)
-    return SlopeMultiset(np_.segments)
+    hull = []
+    for pt in [(i, valuation(c, p)) for i, c in enumerate(f.coeffs) if c]:
+        # pop while the turn through the last two points is not strictly convex;
+        # >= 0 also removes collinear middles, merging their segments
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x2) >= (pt[1] - y2) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return SlopeMultiset((Fraction(y2 - y1, x2 - x1), x2 - x1)
+                         for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
 
 
 def inverse_charpoly(M, *, root_bound):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .dimensions import dim_cuspforms, dim_new_at_p
 from .errors import ConsistencyError
-from .exact import INFINITY, SlopeMultiset, is_prime, newton_slopes
+from .exact import SlopeMultiset, is_prime, newton_slopes
 
 
 def _check_tame_pair(p, N):
@@ -99,7 +99,8 @@ def tp_slopes(ctx, store=None):
 
     Returns (SlopeMultiset, zero_count).  The multiset lists valuations of
     the nonzero eigenvalues only; zero_count = dim - effective degree of
-    det(1 - T_p X) counts eigenvalues that are exactly zero.
+    det(1 - T_p X) counts eigenvalues that are exactly zero, which have no
+    finite slope.
     """
     dim = dim_cuspforms(ctx.k, ctx.N)
     if dim == 0:
@@ -167,10 +168,11 @@ def refinement_pair(v, k):
 
     Newton polygon of X^2 - a_p X + p^(k-1) through (0,0), (1,v), (2,k-1):
     pair {v, k-1-v} when v < (k-1)/2, and the tie {(k-1)/2, (k-1)/2}
-    otherwise.  v = INFINITY (zero eigenvalue) lands in the tie case.
+    otherwise.  v = None, a zero eigenvalue (no finite slope), lands in
+    the tie case.
     """
     half = Fraction(k - 1, 2)
-    if v is INFINITY or Fraction(v) >= half:
+    if v is None or Fraction(v) >= half:
         return SlopeMultiset(((half, 2),))
     v = Fraction(v)
     return SlopeMultiset.of_slopes((v, k - 1 - v))
@@ -180,7 +182,7 @@ class UpSlopeAssembly(NamedTuple):
     p: int
     N: int
     k: int
-    old_pairs: tuple  # (source T_p slope or INFINITY, SlopeMultiset pair) per eigenvalue
+    old_pairs: tuple  # (T_p slope, SlopeMultiset pair) per eigenvalue; None if zero
     new_slope: Fraction  # (k-2)/2, from lambda^2 = p^(k-2) on the p-new part
     new_multiplicity: int
     combined: SlopeMultiset
@@ -189,8 +191,10 @@ class UpSlopeAssembly(NamedTuple):
 def up_assembly(ctx, store=None):
     """Predicted U_p slopes on S_k(Gamma_0(Np)) from T_p data at level N.
 
-    Each level-N eigenvalue contributes its refinement pair; the p-new
-    part contributes dim_new_at_p copies of (k-2)/2.
+    Each level-N eigenvalue contributes its refinement pair, recorded in
+    old_pairs with its T_p slope, or with None for each of tp_slopes'
+    zero_count zero eigenvalues; the p-new part contributes dim_new_at_p
+    copies of (k-2)/2.
     """
     slopes, zero_count = tp_slopes(ctx, store)
     new_slope = Fraction(ctx.k - 2, 2)
@@ -198,7 +202,7 @@ def up_assembly(ctx, store=None):
     pairs = []
     counts = [(new_slope, new_mult)]
     # a raw degree above dim (zero_count < 0) must reach the total check below
-    for v, m in slopes.entries + ((INFINITY, max(zero_count, 0)),):
+    for v, m in slopes.entries + ((None, max(zero_count, 0)),):
         pair = refinement_pair(v, ctx.k)
         pairs += [(v, pair)] * m
         counts += [(s, n * m) for s, n in pair]

@@ -18,7 +18,9 @@ out in full, one of each kind per symbol, from the matrix action on
 polynomials and points, where the package takes two-term and star classes
 as orbits and writes three-term relations at one point per orbit.  Those
 orbits are refereed by a signed union-find over the same pairs, united one
-relation at a time.
+relation at a time.  U_p slopes are predicted by the Bergdall-Pollack
+ghost series from the dimension formulas alone, with a convex hull of
+its own.
 
 The last section is not a referee: criterion 7's 2-refinement check
 builds on the package's regularity verdicts and lives here because only
@@ -30,8 +32,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
+from heckeslopes.dimensions import dim_cuspforms
 from heckeslopes.errors import ConsistencyError
-from heckeslopes.exact import INFINITY, SlopeMultiset
+from heckeslopes.exact import SlopeMultiset
 from heckeslopes.slopes import is_regular, refinement_pair
 
 
@@ -620,12 +623,69 @@ def signed_classes_reference(w, npts, sig, jay):
 
 
 # ----------------------------------------------------------------------
+# the Bergdall-Pollack ghost series
+
+@lru_cache(maxsize=None)
+def _ghost_dims(k, N, p):
+    return dim_cuspforms(k, N), dim_cuspforms(k, N * p)
+
+
+def _ghost_vp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def ghost_slopes(p, N, k, extra=0):
+    """Ghost-series U_p slopes on S_k(Gamma_0(Np)), a sorted list, for odd p not dividing N.
+
+    Bergdall and Pollack, "Slopes of modular forms and the ghost
+    conjecture" (IMRN 2019).  With d(k') = dim S_k'(Gamma_0(N)) and
+    D(k') = dim S_k'(Gamma_0(Np)), the ghost coefficient g_i vanishes at
+    every weight k' = k mod (p-1) with d(k') < i < D(k') - d(k'), to order
+    min(i - d(k'), D(k') - d(k') - i), and v_p(w_k - w_k') = 1 + v_p(k - k').
+    So g_i(w_k) has valuation sum over k' != k of that order times
+    1 + v_p(k - k'), and is zero for d(k) < i < D(k) - d(k).  The first
+    D(k) slopes of the lower hull of (0, 0) and the points (i, v_p(g_i(w_k)))
+    with g_i(w_k) != 0, i <= D(k) + 2 d(k) + 4 + extra, are the prediction.
+    """
+    d, D = _ghost_dims(k, N, p)
+    top = D + 2 * d + 4 + extra
+    ys = [0] * (top + 1)
+    # d(k' + 12) >= d(k') at every weight, so once twelve weights in a row
+    # of the progression k' = k mod (p-1) have d(k') >= top, none after
+    # them has a zero at any i <= top
+    kp, run = (k - 2) % (p - 1) + 2, 0
+    while run < 12:
+        dk, Dk = _ghost_dims(kp, N, p)
+        run = run + 1 if dk >= top else 0
+        if kp != k:
+            for i in range(dk + 1, min(Dk - dk, top + 1)):
+                ys[i] += min(i - dk, Dk - dk - i) * (1 + _ghost_vp(abs(k - kp), p))
+        kp += p - 1
+    hull = []
+    for pt in [(0, 0)] + [(i, ys[i]) for i in range(1, top + 1) if not d < i < D - d]:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x2) < (pt[1] - y2) * (x2 - x1):
+                break
+            hull.pop()
+        hull.append(pt)
+    slopes = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        slopes += [Fraction(y2 - y1, x2 - x1)] * (x2 - x1)
+    return slopes[:D]
+
+
+# ----------------------------------------------------------------------
 # criterion 7: breaking 2-regularity forces fractional slopes
 
 @dataclass(frozen=True)
 class P2Refinement:
     k: int
-    source: object  # violating T_2 slope (Fraction) or INFINITY
+    source: object  # violating T_2 slope (Fraction), or None for a zero eigenvalue
     pair: SlopeMultiset
 
 
@@ -662,7 +722,7 @@ def p2_refinement_check(N):
                 refinements.extend(
                     P2Refinement(row.k, s, refinement_pair(s, row.k)) for _ in range(mult))
         refinements.extend(
-            P2Refinement(row.k, INFINITY, refinement_pair(INFINITY, row.k))
+            P2Refinement(row.k, None, refinement_pair(None, row.k))
             for _ in range(row.zero_count))
     for ref in refinements:
         if all(Fraction(s).denominator == 1 for s, _ in ref.pair):

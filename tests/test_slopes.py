@@ -11,7 +11,7 @@ import pytest
 from heckeslopes.cache import CharpolyCache
 from heckeslopes.dimensions import dim_cuspforms
 from heckeslopes.errors import ConsistencyError
-from heckeslopes.exact import INFINITY, SlopeMultiset
+from heckeslopes.exact import SlopeMultiset
 from heckeslopes.slopes import (
     HeckeContext,
     Witness,
@@ -112,9 +112,9 @@ def test_refinement_pair_cases():
     # v >= (k-1)/2 ties at the midpoint
     assert refinement_pair(1, 2).as_list() == [Fraction(1, 2), Fraction(1, 2)]
     assert refinement_pair(7, 12).as_list() == [Fraction(11, 2), Fraction(11, 2)]
-    assert refinement_pair(INFINITY, 4).as_list() == [Fraction(3, 2), Fraction(3, 2)]
+    assert refinement_pair(None, 4).as_list() == [Fraction(3, 2), Fraction(3, 2)]
     # valuations are bounded by v_p(p^(k-1)) = k-1 on eigenvalue pairs
-    for v in (0, 1, 2, Fraction(5, 2), INFINITY):
+    for v in (0, 1, 2, Fraction(5, 2), None):
         pair = refinement_pair(v, 8)
         assert sum(pair.as_list()) == 7
 
@@ -127,6 +127,19 @@ def test_up_assembly_level_11_weight_2():
     assert a.new_multiplicity == dim_cuspforms(2, 22) - 2 * 1 == 0
     # weight 2 new part would sit at slope 0
     assert a.new_slope == 0
+
+
+@pytest.mark.parametrize("engine", ["modsym", "trace"])
+def test_up_assembly_zero_eigenvalue(engine):
+    # T_2 on S_4(Gamma_0(9)) is zero: the eigenvalue is counted, not sloped,
+    # recorded with source None, and refines to the tie {3/2 x2}
+    store = CharpolyCache(engine=engine)
+    ctx = HeckeContext(2, 9, 4)
+    assert tp_slopes(ctx, store) == (SlopeMultiset(), 1)
+    a = up_assembly(ctx, store)
+    assert a.old_pairs == ((None, SlopeMultiset(((Fraction(3, 2), 2),))),)
+    assert a.combined == SlopeMultiset(((1, 3), (Fraction(3, 2), 2)))
+    assert a.combined == up_slopes_direct(ctx, store)
 
 
 def test_up_assembly_level_33():
@@ -231,7 +244,7 @@ def test_irregular_pairs_have_non_integral_slopes_on_a_grid():
                 continue
             found[p, N] = (j, next(
                 (k for k in range(2, j + 2 * (p - 1) + 1, 2)
-                 if any(s is not INFINITY and Fraction(s).denominator != 1
+                 if any(Fraction(s).denominator != 1
                         for s, _ in up_assembly(HeckeContext(p, N, k), store).combined)),
                 None))
     assert found == FIRST_FRACTIONAL_WEIGHT

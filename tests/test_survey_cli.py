@@ -364,6 +364,46 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["crosscheck", "--p", "1", "--N", "1-5", "--k-max", "6"], 1),  # was an empty-grid PASS
+    (["survey", "--p", "1,2", "--N", "3"], 1),  # was "p divides N", exit 0
+    (["survey", "--p", "4", "--N", "1"], 4),  # was a quarantined pair, exit 2
+    (["crosscheck", "--p", "4,2", "--N", "3", "--k-max", "4"], 4),  # p = 2 ran first
+])
+def test_cli_rejects_a_non_prime_p_before_any_pair(argv, bad, monkeypatch, capsys):
+    reached = []
+
+    def record(*args, **kwargs):
+        reached.append(args)
+        raise AssertionError("a pair was computed")
+
+    monkeypatch.setattr("heckeslopes.survey.compute_pair", record)
+    monkeypatch.setattr("heckeslopes.cli.trace_feasible", record)
+    assert main(argv + ["--cache", ""]) == 1
+    assert reached == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p must be prime, got %d\n" % bad
+
+
+def test_cli_unusable_cache_path_is_a_usage_error(tmp_path, capsys):
+    assert main(["witness", "--p", "2", "--N", "11", "--cache", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(tmp_path) in captured.err
+
+
+def test_cli_broken_pipe_still_exits_0(monkeypatch, capsys):
+    # BrokenPipeError is an OSError: the cache-path clause must not catch it
+    def closed(text):
+        raise BrokenPipeError
+
+    monkeypatch.setattr("heckeslopes.cli._print", closed)
+    assert main(["regularity", "--p", "2", "--N", "11", "--cache", ""]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_regularity_text(capsys):
     assert main(["regularity", "--p", "2", "--N", "11", "--cache", ""]) == 0
     out = capsys.readouterr().out
