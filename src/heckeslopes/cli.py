@@ -76,9 +76,11 @@ def _parse_primes(text):
 
 
 def search_bound(text):
-    """A witness search bound for --k-max: 0 (the default bound) or more.
+    """A weight bound for --k-max: 0 or more.
 
-    A negative bound would search nothing and report "inconclusive".
+    0 asks witness and survey for their default bound and gives slopes and
+    crosscheck an empty table or grid.  A negative bound would cover no
+    weight and read as a result (an "inconclusive" search, an empty PASS).
     """
     k_max = int(text)
     if k_max < 0:
@@ -283,7 +285,7 @@ def build_parser():
     sp = sub.add_parser("slopes", help="T_p and assembled U_p slopes, weights 2..k-max")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=12)
+    sp.add_argument("--k-max", dest="k_max", type=search_bound, default=12)
     _add_common(sp)
     sp.set_defaults(func=cmd_slopes)
 
@@ -306,7 +308,7 @@ def build_parser():
     sp = sub.add_parser("crosscheck", help="trace vs modsym and assembly vs direct")
     sp.add_argument("--p", default="2,3,5,7,11,13")
     sp.add_argument("--N", default="1-14")
-    sp.add_argument("--k-max", dest="k_max", type=int, default=16)
+    sp.add_argument("--k-max", dest="k_max", type=search_bound, default=16)
     sp.add_argument("--direct-cap", dest="direct_cap", type=int, default=DIRECT_DIM_CAP,
                     help="skip direct level-Np checks above this dimension")
     _add_cache(sp)

@@ -246,8 +246,10 @@ def newton_slopes(f, p):
     """
     if f.coeffs[0] != 1:
         raise ValueError("expected constant coefficient 1")
+    if not is_prime(p):
+        raise ValueError(f"Newton polygon needs a prime, got {p}")
     hull = []
-    for pt in [(i, valuation(c, p)) for i, c in enumerate(f.coeffs) if c]:
+    for pt in [(i, _vp(abs(c), p)) for i, c in enumerate(f.coeffs) if c]:
         # pop while the turn through the last two points is not strictly convex;
         # >= 0 also removes collinear middles, merging their segments
         while len(hull) >= 2:

@@ -30,7 +30,8 @@ of x this says that the relations at eta(t), the point of x.sigma.J,
 are those at t.
 
 The cuspidal subspace is the kernel of the boundary map to star-folded
-cusp classes, and its dimension is asserted against the dimension formula
+cusp classes, its rows keyed by cusp class, read off the P^1 point (see
+_cusp_class); its dimension is asserted against the dimension formula
 on every build.  T_p at p not dividing M and U_p at p | M both act through
 Cremona's Heilbronn matrices (nearest-integer continued fractions of r/p),
 dropping images whose bottom row is not primitive mod M.  One family
@@ -83,19 +84,6 @@ __all__ = [
     "P1List", "PlusQuotient", "plus_quotient", "charpoly_cuspidal", "merel_family",
     "heilbronn_cremona",
 ]
-
-
-def gcdex(a, b):
-    """Extended gcd: returns (x, y, g) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -x0, -y0, -a
-    return x0, y0, a
 
 
 class P1List:
@@ -159,6 +147,20 @@ def _classes(w, npts, sig, jay):
             r = pick(orbit)
             out.append((r, orbit[r] if all(orbit[y] == s for y, s in members) else 0))
     return out
+
+
+def _cusp_class(M, v, s):
+    """Star-folded Gamma_0(M) class of a cusp u/v, gcd(u, v) = 1, s u = 1 mod v.
+
+    Cremona's test (Algorithms for Modular Elliptic Curves, 1997, 2.2):
+    u1/v1 ~ u2/v2 iff s1 v2 = s2 v1 mod gcd(M, v1 v2), that is, iff both
+    have the same d = gcd(v, M) and the same s (v/d)^-1 mod e = gcd(d, M/d).
+    The star fold u/v ~ -u/v negates s; v = 0 (the cusp oo) has e = 1.
+    """
+    d = gcd(v, M)
+    e = gcd(d, M // d)
+    x = s * pow(v // d, -1, e) % e
+    return d, min(x, -x % e)
 
 
 def merel_family(n):
@@ -333,38 +335,21 @@ class PlusQuotient:
 
     # -- boundary and cuspidal subspace ---------------------------------
 
-    def _cusp_index(self, cusps, u, v):
-        for i, rep in enumerate(cusps):
-            if self._cusps_equiv(rep, (u, v)) or self._cusps_equiv(rep, (-u, v)):
-                return i
-        cusps.append((u, v))
-        return len(cusps) - 1
-
-    def _cusps_equiv(self, A, B):
-        (u1, v1), (u2, v2) = A, B
-        s1 = gcdex(u1, v1)[0]
-        s2 = gcdex(u2, v2)[0]
-        g = gcd(self.M, v1 * v2 % self.M)
-        return (s1 * v2 - s2 * v1) % g == 0
-
     def _build_cuspidal(self):
-        w = self.k - 2
+        w, M = self.k - 2, self.M
         npts = len(self.p1)
-        cusps = []
+        # (i, (c:d)) is g = [a,b;c,d] in SL_2(Z), boundary [a/c] - [b/d] at the
+        # extreme i; a^-1 = d mod c, b^-1 = -c mod d (the fold drops the sign)
         rows = {}
         for col, r in enumerate(self.free_roots):
             i, t = divmod(r, npts)
             c, d = self.p1.points[t]
-            a, b, g = gcdex(d, -c)
-            if g != 1:
-                raise ConsistencyError("non-unimodular symbol representative")
-            # boundary of the symbol: present only at the extreme weights
             if i == w:
-                ci = self._cusp_index(cusps, a, c)
-                rows.setdefault(ci, {})[col] = rows.get(ci, {}).get(col, 0) + 1
+                row = rows.setdefault(_cusp_class(M, c, d), {})
+                row[col] = row.get(col, 0) + 1
             if i == 0:
-                ci = self._cusp_index(cusps, b, d)
-                rows.setdefault(ci, {})[col] = rows.get(ci, {}).get(col, 0) - 1
+                row = rows.setdefault(_cusp_class(M, d, c), {})
+                row[col] = row.get(col, 0) - 1
         self._chart = SpanSolver(rows.values(), self.quotient_dim)
         self.cuspidal_basis = kernel_basis(self._chart)
         self.dim = len(self.cuspidal_basis)

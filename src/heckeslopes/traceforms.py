@@ -20,7 +20,7 @@ from math import gcd, isqrt, lcm
 
 from .dimensions import dim_cuspforms, psi_index
 from .errors import ConsistencyError, TraceBudgetExceeded
-from .exact import IntPolynomial, divisors, euler_phi, factorize
+from .exact import IntPolynomial, divisors, euler_phi, factorize, is_prime
 
 __all__ = [
     "DISC_CAP_DEFAULT", "trace_tn", "charpoly_from_traces", "trace_feasible",
@@ -317,7 +317,7 @@ def trace_feasible(k, N, p):
 
 
 def charpoly_from_traces(k, N, p):
-    """det(1 - T_p X) on S_k(Gamma_0(N)), p not dividing N, from traces.
+    """det(1 - T_p X) on S_k(Gamma_0(N)), p a prime not dividing N, from traces.
 
     The product over M | N of det(1 - T_p X) on S_k^new(M) (see
     _new_charpoly) to the power sigma_0(N/M).  New-subspace traces come
@@ -327,6 +327,8 @@ def charpoly_from_traces(k, N, p):
     is beyond the class number table, and ConsistencyError when a rank or
     dimension check fails.
     """
+    if not is_prime(p):
+        raise ValueError(f"Hecke index must be prime, got {p}")
     if N % p == 0:
         raise ValueError(f"trace route needs p not dividing N, got p={p}, N={N}")
     dim = dim_cuspforms(k, N)

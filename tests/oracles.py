@@ -13,7 +13,8 @@ these and the package is the point of the tests, so keep it that way.
 Hecke matrices are assembled term by term from a built space's
 presentation, so they referee the assembly, not the presentation.
 P^1(Z/M) points are reduced one pair at a time by extended gcds, where
-the package scans unit orbits.  The Manin-symbol relations are written
+the package scans unit orbits, and cusps are compared one pair at a time
+by Cremona's criterion, where the package reads a class key off each.  The Manin-symbol relations are written
 out in full, one of each kind per symbol, from the matrix action on
 polynomials and points, where the package takes two-term and star classes
 as orbits and writes three-term relations at one point per orbit.  Those
@@ -516,6 +517,23 @@ def p1_reference(M):
     points = sorted({r for r in reps.values() if r is not None})
     pos = {pt: i for i, pt in enumerate(points)}
     return points, {uv: pos[r] for uv, r in reps.items() if r is not None}
+
+
+# ----------------------------------------------------------------------
+# cusps of Gamma_0(M), compared one pair at a time
+
+def cusps_equivalent_reference(M, A, B):
+    """Whether the cusps u1/v1 and u2/v2, each in lowest terms, are one class
+    of Gamma_0(M) up to the star fold u/v ~ -u/v.
+
+    Cremona's criterion (Algorithms for Modular Elliptic Curves, 1997, 2.2):
+    s1 v2 = s2 v1 mod gcd(M, v1 v2), s_i u_i = 1 mod v_i, tried for u2/v2
+    and for -u2/v2.
+    """
+    (u1, v1), (u2, v2) = A, B
+    g = gcd(M, v1 * v2)
+    s1 = _gcdex(u1, v1)[0]
+    return any((s1 * v2 - _gcdex(u, v2)[0] * v1) % g == 0 for u in (u2, -u2))
 
 
 # ----------------------------------------------------------------------

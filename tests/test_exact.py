@@ -69,6 +69,14 @@ def test_newton_slopes_requires_unit_constant():
         newton_slopes(IntPolynomial([2, 1]), 2)
 
 
+def test_newton_slopes_rejects_nonprime():
+    # p is checked once per polygon, also when no coefficient but c_0 is nonzero
+    for f in (IntPolynomial([1]), IntPolynomial([1, 6]), IntPolynomial([1, 0, 4])):
+        for p in (4, 1, 0):
+            with pytest.raises(ValueError):
+                newton_slopes(f, p)
+
+
 def test_newton_slopes_sum_rule():
     rng = random.Random(11)
     for _ in range(200):

@@ -5,6 +5,7 @@ q-expansion oracles (Delta and a handful of one-dimensional eta-product
 spaces) computed independently in tests/oracles.py.
 """
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -19,6 +20,7 @@ from heckeslopes.modsym import (
     P1List,
     PlusQuotient,
     _classes,
+    _cusp_class,
     _hecke_family,
     charpoly_cuspidal,
     heilbronn_cremona,
@@ -29,6 +31,7 @@ from heckeslopes.modsym import (
 from oracles import (
     ETA_SPACES,
     charpoly_hessenberg_reference,
+    cusps_equivalent_reference,
     delta_coefficients,
     eta_space_coefficient,
     hecke_matrix_reference,
@@ -285,6 +288,48 @@ def test_p1_table_matches_reference():
     for M in range(1, 61):
         p1 = P1List(M)
         assert (p1.points, p1.table) == p1_reference(M), M
+
+
+def _random_cusps(rng, M, count):
+    """oo, 0, -oo and count random cusps u/v in lowest terms, each with an
+    s such that s u = 1 mod v (s = u at v = 0); v runs over multiples of
+    random divisors of M, so every gcd(v, M) turns up."""
+    divs = [d for d in range(1, M + 1) if M % d == 0]
+    cusps = [(1, 0, 1), (0, 1, 0), (-1, 0, -1)]
+    while len(cusps) < count + 3:
+        u, v = rng.randint(-500, 500), rng.choice(divs) * rng.randint(1, 60)
+        if gcd(u, v) == 1:
+            cusps.append((u, v, pow(u, -1, v)))
+    return cusps
+
+
+def test_cusp_class_matches_cremona_pairwise():
+    rng = random.Random(25)
+    for M in range(1, 121):
+        cusps = _random_cusps(rng, M, 40)
+        keys = [_cusp_class(M, v, s) for _, v, s in cusps]
+        for a, (u1, v1, _) in enumerate(cusps):
+            for b in range(a):
+                u2, v2, _ = cusps[b]
+                assert (keys[a] == keys[b]) == \
+                    cusps_equivalent_reference(M, (u1, v1), (u2, v2)), (M, u1, v1, u2, v2)
+
+
+def test_cusp_classes_off_p1_are_the_folded_cusps():
+    # g(oo) and g(0) each run over every cusp class as (c:d) runs over
+    # P^1(Z/M); the fold pairs the classes of each d | M whose
+    # e = gcd(d, M/d) exceeds 2, so nu_infinity's sum of phi(e) folds to
+    # the sum of max(1, phi(e)/2)
+    for M in range(1, 301):
+        points = P1List(M).points
+        at_oo = {_cusp_class(M, c, d) for c, d in points}
+        at_0 = {_cusp_class(M, d, c) for c, d in points}
+        count = 0
+        for d in range(1, M + 1):
+            if M % d == 0:
+                e = gcd(d, M // d)
+                count += max(1, sum(1 for x in range(e) if gcd(x, e) == 1) // 2)
+        assert at_oo == at_0 and len(at_oo) == count, M
 
 
 def _point_maps(M):

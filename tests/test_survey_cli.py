@@ -350,11 +350,6 @@ def test_cli_usage_errors(capsys):
     assert main(["survey", "--p", "0,2", "--N", "11", "--cache", ""]) == 1
     assert main(["regularity", "--p", "4", "--N", "11", "--cache", ""]) == 1
     assert main(["survey", "--p", "2", "--N", "11", "--workers", "0", "--cache", ""]) == 1
-    # a negative bound searches nothing, which must not read as "inconclusive"
-    for command in ("witness", "survey"):
-        with pytest.raises(SystemExit) as ei:
-            main([command, "--p", "2", "--N", "11", "--k-max", "-4", "--cache", ""])
-        assert ei.value.code == 1, command
     with pytest.raises(SystemExit) as ei:
         main(["crosscheck", "--format", "csv"])  # crosscheck has one report format
     assert ei.value.code == 1
@@ -362,6 +357,22 @@ def test_cli_usage_errors(capsys):
         main(["nonsense"])
     assert ei.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    # a negative bound covers no weight, which must not read as a result
+    ["witness", "--p", "2", "--N", "11", "--k-max", "-4"],  # "inconclusive"
+    ["survey", "--p", "2", "--N", "11", "--k-max", "-4"],
+    ["crosscheck", "--p", "2", "--N", "1-3", "--k-max", "-2"],  # was an empty-grid PASS
+    ["slopes", "--p", "2", "--N", "11", "--k-max", "-4", "--format", "csv"],  # was a bare header
+])
+def test_cli_negative_weight_bound_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(argv + ["--cache", ""])
+    assert ei.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 0" in captured.err
 
 
 @pytest.mark.parametrize("argv, bad", [

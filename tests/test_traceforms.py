@@ -204,6 +204,15 @@ def test_charpoly_from_traces_pins():
     assert charpoly_from_traces(2, 11, 3) == IntPolynomial([1, 1])
 
 
+def test_both_engines_refuse_a_non_prime_index():
+    # the trace route gave T_4's polynomial [1, 1472] at (12, 1, 4) and
+    # blamed p = 1 on "p not dividing N"
+    for engine in (charpoly_from_traces, charpoly_cuspidal):
+        for p in (4, 1):
+            with pytest.raises(ValueError, match="must be prime"):
+                engine(12, 1, p)
+
+
 def _two_dim_traces(k, P2, P3):
     """tr T_n, n | 12, on a 2-dim Hecke algebra with T_2 = P2, T_3 = P3."""
     def mul(X, Y):
