@@ -3,23 +3,24 @@
 A CharpolyCache holds every polynomial a run has computed or loaded,
 the engine that computes the missing ones, and optionally the file it
 loads from and flushes to.  Callers hand it down to the slope layer,
-which without one computes every polynomial afresh.
-
-On disk it is one JSON object per line, so the file can be streamed
-and appended to; coefficients travel as decimal strings because they
-overflow 64 bits around weight 20.  Every record carries a sha256
-digest of its payload: a record that fails to re-parse, re-verify, or
-match the schema version is dropped, listed in the store's rejects,
-and the polynomial is simply recomputed.  Writes go through a temporary
-file and os.replace, so readers never see a half-written cache.  json,
-hashlib and tempfile are imported where records are read, digested or
-written, so a run without a cache file loads none of them.
+which without one computes every polynomial afresh; fetch_or_compute is
+the only way a computed polynomial enters it.  On disk it is one JSON
+object per line, coefficients as decimal strings (they overflow 64 bits
+around weight 20), each record with a sha256 digest of its payload.  A
+line that fails to re-parse, re-verify its digest or schema version, or
+pass the certificate (p prime, the operator and engine its level admits,
+constant term 1, raw degree dim S_k(Gamma_0(N))) is dropped, listed in
+the store's rejects, and the polynomial is recomputed.  Writes go
+through a temporary file and os.replace, so readers never see a
+half-written cache.  json, hashlib and tempfile are imported where records
+are read, digested or written: a run without a cache file loads none.
 """
 
 import os
 from typing import NamedTuple
 
-from .exact import IntPolynomial
+from .dimensions import dim_cuspforms
+from .exact import IntPolynomial, is_prime
 
 SCHEMA_VERSION = 1
 ENGINES = ("modsym", "trace", "both")
@@ -93,6 +94,19 @@ class CacheRecord(NamedTuple):
             raise ValueError("malformed field value") from None
         if rec.digest() != body["digest"]:
             raise ValueError("digest mismatch")
+        # the certificate; p comes first, because operator_label divides by it
+        if not is_prime(rec.p):
+            raise ValueError("p = %d is not prime" % rec.p)
+        if rec.level < 1 or rec.weight < 2 or rec.weight % 2:
+            raise ValueError("level %d or weight %d out of range" % (rec.level, rec.weight))
+        if rec.operator != operator_label(rec.p, rec.level):
+            raise ValueError("operator %r at p=%d, level=%d" % (rec.operator, rec.p, rec.level))
+        if rec.engine not in ENGINES[:2]:
+            raise ValueError("engine %r is not a route" % rec.engine)
+        dim = dim_cuspforms(rec.weight, rec.level)
+        if coeffs[:1] != (1,) or len(coeffs) - 1 != dim:
+            raise ValueError("coeffs start %s with raw degree %d; expected [1] and dim %d"
+                             % (list(coeffs[:1]), len(coeffs) - 1, dim))
         return rec
 
 
@@ -140,26 +154,15 @@ class CharpolyCache:
         self.records.update(stored)
         self._stored = stored
 
-    def get(self, p, level, weight, engine):
-        rec = self.records.get((p, level, weight, operator_label(p, level), engine))
-        if rec is None:
-            return None
-        return IntPolynomial(rec.coeffs)
-
-    def put(self, p, level, weight, engine, poly):
-        rec = CacheRecord(p, level, weight, operator_label(p, level),
-                          tuple(poly.coeffs), engine)
-        self.records[rec.key] = rec
-        return rec
-
     def fetch_or_compute(self, p, level, weight, engine, compute):
-        got = self.get(p, level, weight, engine)
-        if got is not None:
+        key = (p, level, weight, operator_label(p, level), engine)
+        rec = self.records.get(key)
+        if rec is not None:
             self.hits += 1
-            return got
+            return IntPolynomial(rec.coeffs)
         self.misses += 1
         poly = compute()
-        self.put(p, level, weight, engine, poly)
+        self.records[key] = CacheRecord(*key[:4], poly.coeffs, engine)
         return poly
 
     def merge(self, records):

@@ -106,7 +106,7 @@ def tp_slopes(ctx, store=None):
     if dim == 0:
         return SlopeMultiset(), 0
     f = _charpoly(ctx.k, ctx.N, ctx.p, store)
-    return newton_slopes(f, ctx.p), dim - max(f.degree, 0)
+    return newton_slopes(f, ctx.p), dim - f.degree
 
 
 def regularity_weight_range(p):
@@ -201,20 +201,12 @@ def up_assembly(ctx, store=None):
     new_mult = dim_new_at_p(ctx.k, ctx.N, ctx.p)
     pairs = []
     counts = [(new_slope, new_mult)]
-    # a raw degree above dim (zero_count < 0) must reach the total check below
-    for v, m in slopes.entries + ((None, max(zero_count, 0)),):
+    for v, m in slopes.entries + ((None, zero_count),):
         pair = refinement_pair(v, ctx.k)
         pairs += [(v, pair)] * m
         counts += [(s, n * m) for s, n in pair]
-    combined = SlopeMultiset(counts)
-    # dim S_k(Np) = new_mult + 2 dim S_k(N), and tp_slopes' dim S_k(N) is
-    # slopes.total + zero_count: no second evaluation of dim S_k(Np)
-    dim_full = new_mult + 2 * (slopes.total + zero_count)
-    if combined.total != dim_full:
-        raise ConsistencyError(
-            "assembled %d slopes but dim S_%d(Gamma_0(%d)) = %d"
-            % (combined.total, ctx.k, ctx.N * ctx.p, dim_full))
-    return UpSlopeAssembly(ctx.p, ctx.N, ctx.k, tuple(pairs), new_slope, new_mult, combined)
+    return UpSlopeAssembly(ctx.p, ctx.N, ctx.k, tuple(pairs), new_slope, new_mult,
+                           SlopeMultiset(counts))
 
 
 def up_slopes_direct(ctx, store=None):
@@ -234,7 +226,7 @@ def up_slopes_direct(ctx, store=None):
         # means an engine bug, not mathematics.
         raise ConsistencyError(
             "U_%d has %d zero eigenvalues on S_%d(Gamma_0(%d))"
-            % (ctx.p, dim - max(f.degree, 0), ctx.k, ctx.N * ctx.p))
+            % (ctx.p, dim - f.degree, ctx.k, ctx.N * ctx.p))
     return newton_slopes(f, ctx.p)
 
 

@@ -329,6 +329,10 @@ def charpoly_from_traces(k, N, p):
     """
     if not is_prime(p):
         raise ValueError(f"Hecke index must be prime, got {p}")
+    if k < 2 or k % 2:
+        raise ValueError(f"weight must be even and >= 2, got {k}")
+    if N < 1:
+        raise ValueError(f"level must be >= 1, got {N}")
     if N % p == 0:
         raise ValueError(f"trace route needs p not dividing N, got p={p}, N={N}")
     dim = dim_cuspforms(k, N)

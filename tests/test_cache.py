@@ -20,8 +20,9 @@ from heckeslopes.exact import IntPolynomial
 
 
 def sample_record():
-    # coefficients big enough to overflow any fixed-width integer
-    return CacheRecord(2, 11, 24, "T", (1, 1080, 2 ** 94 + 7, -(10 ** 40)),
+    # coefficients big enough to overflow any fixed-width integer, padded
+    # with zeros to raw degree 22 = dim S_24(Gamma_0(11))
+    return CacheRecord(2, 11, 24, "T", (1, 1080, 2 ** 94 + 7, -(10 ** 40)) + (0,) * 19,
                        "modsym")
 
 
@@ -88,6 +89,24 @@ def test_record_rejects_malformed_values():
         CacheRecord.from_line(json.dumps(body))
 
 
+@pytest.mark.parametrize("fields, reason", [
+    ((2, 1, 12, "T", (2, 24), "modsym"), r"coeffs start \[2\]"),
+    ((2, 11, 4, "T", (1, -2), "modsym"), "raw degree 1; expected .* dim 2"),
+    ((2, 11, 4, "T", (1, 0, 0, 0, 0), "modsym"), "raw degree 4; expected .* dim 2"),
+    ((2, 11, 4, "U", (1, -2, -2), "modsym"), "operator 'U'"),
+    ((2, 11, 4, "T", (1, -2, -2), "both"), "engine 'both'"),
+    ((0, 11, 4, "T", (1, -2, -2), "modsym"), "p = 0"),  # no ZeroDivisionError
+    ((4, 11, 4, "T", (1, -2, -2), "modsym"), "p = 4"),
+    ((2, 0, 4, "U", (1,), "modsym"), "level 0"),
+    ((2, 11, 3, "T", (1,), "modsym"), "weight 3"),
+], ids=["c0=2", "degree-below-dim", "degree-above-dim", "U-at-p-prime-to-level",
+        "engine-both", "p=0", "p=4", "level=0", "odd-weight"])
+def test_record_certificate_rejects_a_digest_valid_forgery(fields, reason):
+    # each line carries a valid digest, so only the certificate can refuse it
+    with pytest.raises(ValueError, match=reason):
+        CacheRecord.from_line(CacheRecord(*fields).to_line())
+
+
 def test_cache_file_roundtrip(tmp_path):
     path = str(tmp_path / "c.jsonl")
     rec = sample_record()
@@ -101,7 +120,7 @@ def test_cache_file_roundtrip(tmp_path):
     assert fresh.records.get(rec.key) is None
     assert any("digest mismatch" in reason for _, reason in fresh.rejects)
     # writing through the cache again heals the file
-    assert cache_roundtrip(CacheRecord(3, 5, 4, "T", (1,), "trace"),
+    assert cache_roundtrip(CacheRecord(3, 5, 4, "T", (1, -2), "trace"),
                            path) is not None
     assert CharpolyCache(path).rejects == []
 
@@ -137,8 +156,8 @@ def test_load_rejects_non_ascii_lines(tmp_path):
 def test_flush_is_atomic_and_sorted(tmp_path):
     path = str(tmp_path / "sub" / "c.jsonl")
     cache = CharpolyCache(path)
-    cache.put(3, 11, 4, "modsym", IntPolynomial([1, 2, 3]))
-    cache.put(2, 11, 4, "modsym", IntPolynomial([1, -2]))
+    cache.fetch_or_compute(3, 11, 4, "modsym", lambda: IntPolynomial([1, 2, 3]))
+    cache.fetch_or_compute(2, 11, 4, "modsym", lambda: IntPolynomial([1, -2, -2]))
     cache.flush()
     # no stray temp files left behind
     assert os.listdir(os.path.dirname(path)) == ["c.jsonl"]
@@ -163,13 +182,13 @@ def test_flush_leaves_an_unchanged_file_alone(tmp_path):
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     # a new record is written
     with CharpolyCache(path) as warm:
-        warm.put(3, 1, 12, "modsym", IntPolynomial([1, -252]))
+        warm.fetch_or_compute(3, 1, 12, "modsym", lambda: IntPolynomial([1, -252]))
     assert len(CharpolyCache(path).records) == 2
 
 
-def test_get_put_and_counters(tmp_path):
+def test_fetch_or_compute_counts_hits_and_misses(tmp_path):
     cache = CharpolyCache()
-    assert cache.get(2, 11, 12, "modsym") is None
+    assert cache.records == {}
     calls = []
 
     def compute():
@@ -190,7 +209,7 @@ def test_store_block_flushes_on_exit(tmp_path):
     path = str(tmp_path / "c.jsonl")
     with CharpolyCache(path) as cache:
         cache.fetch_or_compute(2, 1, 12, "modsym", lambda: IntPolynomial([1, 24]))
-    assert CharpolyCache(path).get(2, 1, 12, "modsym") == IntPolynomial([1, 24])
+    assert CharpolyCache(path).fetch_or_compute(2, 1, 12, "modsym", None) == IntPolynomial([1, 24])
     # an error inside the block still flushes what was computed before it
     with pytest.raises(ZeroDivisionError):
         with CharpolyCache(path) as cache:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from heckeslopes.cache import CharpolyCache
+from heckeslopes.cache import CacheRecord, CharpolyCache
 from heckeslopes.cli import main
 from heckeslopes.errors import ConsistencyError
 from heckeslopes.slopes import default_witness_bound, is_regular, witness_label
@@ -640,6 +640,51 @@ def test_cli_survey_self_heals_corrupt_cache(tmp_path, capsys):
     assert capsys.readouterr() == (first, "cache %s line 1 dropped: digest mismatch\n" % path)
     # the rewritten file verifies cleanly again
     assert CharpolyCache(path).rejects == []
+
+
+def _forged_cache(path, *fields):
+    """A cache file of one digest-valid line, CacheRecord(*fields); returns its bytes."""
+    with open(path, "w") as fh:
+        fh.write(CacheRecord(*fields).to_line() + "\n")
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["slopes", "--p", "2", "--N", "1", "--k-max", "12"], (2, 1, 12, "T", (2, 24), "modsym")),
+    (["regularity", "--p", "2", "--N", "11"], (2, 11, 4, "T", (1, 0, 0, 0, 0), "modsym")),
+    (["regularity", "--p", "2", "--N", "11"], (2, 11, 4, "T", (1, 0, 0, 0, 1), "modsym")),
+], ids=["slopes-c0=2", "regularity-zero-count-2", "regularity-zero-count-minus-2"])
+def test_cli_drops_and_heals_a_record_that_fails_the_certificate(argv, fields, tmp_path,
+                                                                  capsys):
+    # read as they stand, these lines stop slopes with a usage error or
+    # print zero_count=2 and zero_count=-2 rows
+    assert main(argv + ["--cache", ""]) == 0
+    clean = capsys.readouterr().out
+    path = str(tmp_path / "cache.jsonl")
+    _forged_cache(path, *fields)
+    assert main(argv + ["--cache", path]) == 0
+    out, err = capsys.readouterr()
+    assert out == clean
+    assert err.startswith("cache %s line 1 dropped: coeffs start" % path)
+    assert err.count("\n") == 1
+    healed = CharpolyCache(path)
+    assert healed.rejects == []
+    assert healed.records[CacheRecord(*fields).key] != CacheRecord(*fields)
+
+
+def test_cli_crosscheck_keeps_a_record_that_fails_the_certificate(tmp_path, capsys):
+    # read as it stands, the line is blamed on the engines, and the
+    # rewrite would destroy the evidence
+    path = str(tmp_path / "cache.jsonl")
+    forged = _forged_cache(path, 2, 11, 4, "T", (1, 0, 0, 0, 0), "modsym")
+    code = main(["crosscheck", "--p", "2", "--N", "11", "--k-max", "4", "--cache", path])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "FAIL corrupt cache record at line 1 (coeffs start" in out
+    assert "mismatch" not in out and "crosscheck: FAIL (1)" in out
+    with open(path, "rb") as fh:
+        assert fh.read() == forged
 
 
 def test_cli_cache_env_var(tmp_path, monkeypatch, capsys):

@@ -204,13 +204,18 @@ def test_charpoly_from_traces_pins():
     assert charpoly_from_traces(2, 11, 3) == IntPolynomial([1, 1])
 
 
-def test_both_engines_refuse_a_non_prime_index():
-    # the trace route gave T_4's polynomial [1, 1472] at (12, 1, 4) and
-    # blamed p = 1 on "p not dividing N"
+@pytest.mark.parametrize("k, N, p, reason", [
+    (12, 1, 4, "must be prime"),  # the trace route gave T_4's polynomial [1, 1472]
+    (12, 1, 1, "must be prime"),  # and blamed p = 1 on "p not dividing N"
+    (3, 11, 2, "weight must be even"),  # the trace route returned [1] for these three
+    (0, 11, 2, "weight must be even"),
+    (-4, 1, 2, "weight must be even"),
+    (12, 0, 5, "level must be >= 1"),  # blamed on "p not dividing N"
+], ids=["p=4", "p=1", "k=3", "k=0", "k=-4", "N=0"])
+def test_both_engines_refuse_an_out_of_range_input(k, N, p, reason):
     for engine in (charpoly_from_traces, charpoly_cuspidal):
-        for p in (4, 1):
-            with pytest.raises(ValueError, match="must be prime"):
-                engine(12, 1, p)
+        with pytest.raises(ValueError, match=reason):
+            engine(k, N, p)
 
 
 def _two_dim_traces(k, P2, P3):
