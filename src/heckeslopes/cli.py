@@ -16,8 +16,8 @@ from .cache import ENGINES, CharpolyCache
 from .dimensions import dim_cuspforms
 from .errors import ConsistencyError, TraceBudgetExceeded
 from .exact import is_prime
-from .slopes import (HeckeContext, charpoly_from_traces, is_regular, regularity_weight_range,
-                     tp_slopes, up_assembly, up_slopes_direct, witness_label)
+from .slopes import (HeckeContext, is_regular, regularity_weight_range, tp_slopes, up_assembly,
+                     up_slopes_direct, witness_label)
 from .survey import (COLUMNS, FORMATS, SurveyConfig, compute_pair, render_report,
                      run_survey)
 
@@ -75,17 +75,18 @@ def _parse_primes(text):
     return primes
 
 
-def search_bound(text):
-    """A weight bound for --k-max: 0 or more.
+def nonnegative(text):
+    """A bound for --k-max or --direct-cap: 0 or more.
 
-    0 asks witness and survey for their default bound and gives slopes and
-    crosscheck an empty table or grid.  A negative bound would cover no
-    weight and read as a result (an "inconclusive" search, an empty PASS).
+    A --k-max of 0 asks witness and survey for their default bound and gives
+    slopes and crosscheck an empty table or grid.  A negative bound would
+    cover nothing and read as a result (an "inconclusive" search, an empty
+    PASS, "beyond dim cap -1").
     """
-    k_max = int(text)
-    if k_max < 0:
-        raise argparse.ArgumentTypeError("must be >= 0, got %d" % k_max)
-    return k_max
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
 
 
 def _open_store(args):
@@ -209,6 +210,7 @@ def trace_feasible(k, N, p):
 
 
 def cmd_crosscheck(args):
+    from . import traceforms
     from .modsym import charpoly_cuspidal
 
     primes = _parse_primes(args.p)
@@ -227,19 +229,24 @@ def cmd_crosscheck(args):
         if not failures:
             _print("crosscheck: PASS (trivial, empty grid)\n")
             return EXIT_OK
+    traced = {}  # (N, k) -> {p: trace charpoly}, one call for all the feasible p
+    found = []  # ((p, N, k), FAIL line), reported in grid order
     try:
-        for p, N, k in points:
+        for p, N, k in sorted(points, key=lambda point: point[1:]):  # (N, k)-major
             ctx = HeckeContext(p, N, k)
-            if trace_feasible(k, N, p):
-                g = charpoly_from_traces(k, N, p)
+            if (N, k) not in traced:
+                traced[N, k] = traceforms.charpolys_from_traces(
+                    k, N, [q for q in primes if N % q and trace_feasible(k, N, q)])
+            if p in traced[N, k]:
+                g = traced[N, k][p]
                 fm = store.fetch_or_compute(
                     p, N, k, "modsym", lambda k=k, N=N, p=p: charpoly_cuspidal(k, N, p))
                 engines_checked += 1
                 if fm != g:
-                    failures.append(
+                    found.append(((p, N, k),
                         "engine mismatch at (k=%d, N=%d, p=%d): modsym %r vs trace %r; "
                         "reproduce: heckeslopes crosscheck --p %d --N %d --k-max %d"
-                        % (k, N, p, list(fm.coeffs), list(g.coeffs), p, N, k))
+                        % (k, N, p, list(fm.coeffs), list(g.coeffs), p, N, k)))
             else:
                 engines_skipped += 1
             if dim_cuspforms(k, N * p) <= args.direct_cap:
@@ -247,15 +254,16 @@ def cmd_crosscheck(args):
                 direct = up_slopes_direct(ctx, store)
                 direct_checked += 1
                 if asm.combined != direct:
-                    failures.append(
+                    found.append(((p, N, k),
                         "assembly mismatch at (k=%d, N=%d, p=%d): %r vs direct %r; "
                         "reproduce: heckeslopes slopes --p %d --N %d --k-max %d"
-                        % (k, N, p, asm.combined, direct, p, N, k))
+                        % (k, N, p, asm.combined, direct, p, N, k)))
             else:
                 direct_skipped += 1
     finally:
         if not store.rejects:  # strict mode keeps a damaged file as the evidence
             store.flush()
+    failures += [line for _, line in sorted(found, key=lambda item: item[0])]
     _print("engine identity:   %d checked, %d beyond trace budget\n"
            % (engines_checked, engines_skipped))
     _print("assembly = direct: %d checked, %d beyond dim cap %d\n"
@@ -285,14 +293,14 @@ def build_parser():
     sp = sub.add_parser("slopes", help="T_p and assembled U_p slopes, weights 2..k-max")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--k-max", dest="k_max", type=search_bound, default=12)
+    sp.add_argument("--k-max", dest="k_max", type=nonnegative, default=12)
     _add_common(sp)
     sp.set_defaults(func=cmd_slopes)
 
     sp = sub.add_parser("witness", help="search for a U_p slope strictly in (0,1)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--k-max", dest="k_max", type=search_bound, default=0,
+    sp.add_argument("--k-max", dest="k_max", type=nonnegative, default=0,
                     help="even search bound (default: max(50, j+2(p-1)))")
     _add_common(sp)
     sp.set_defaults(func=cmd_witness)
@@ -300,7 +308,7 @@ def build_parser():
     sp = sub.add_parser("survey", help="regularity/witness report over a (p, N) grid")
     sp.add_argument("--p", required=True, help="primes, e.g. 2,3,5")
     sp.add_argument("--N", required=True, help="levels, e.g. 1-30 or 11,13")
-    sp.add_argument("--k-max", dest="k_max", type=search_bound, default=0)
+    sp.add_argument("--k-max", dest="k_max", type=nonnegative, default=0)
     sp.add_argument("--workers", type=int, default=1)
     _add_common(sp, fmt_default="csv")
     sp.set_defaults(func=cmd_survey)
@@ -308,8 +316,8 @@ def build_parser():
     sp = sub.add_parser("crosscheck", help="trace vs modsym and assembly vs direct")
     sp.add_argument("--p", default="2,3,5,7,11,13")
     sp.add_argument("--N", default="1-14")
-    sp.add_argument("--k-max", dest="k_max", type=search_bound, default=16)
-    sp.add_argument("--direct-cap", dest="direct_cap", type=int, default=DIRECT_DIM_CAP,
+    sp.add_argument("--k-max", dest="k_max", type=nonnegative, default=16)
+    sp.add_argument("--direct-cap", dest="direct_cap", type=nonnegative, default=DIRECT_DIM_CAP,
                     help="skip direct level-Np checks above this dimension")
     _add_cache(sp)
     sp.set_defaults(func=cmd_crosscheck)

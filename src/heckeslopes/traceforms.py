@@ -10,20 +10,24 @@ dimension dim S_k^new(M) on which the trace form tr(xy) is positive
 definite; its Gram matrix on a basis T_{n_i} turns the traces of
 T_p T_{n_i} T_{n_j} into the matrix of T_p (Belabas-Cohen, "Modular forms
 in Pari/GP", Res. Math. Sci. 2018), whose characteristic polynomial the
-Faddeev-LeVerrier recurrence gives in integers.  The traces read one
-sieved table of Hurwitz class numbers, kept small by small n.
+Faddeev-LeVerrier recurrence gives in integers.  Neither the traces nor
+the Gram matrix depend on p, so one call serves many primes: the Gram
+matrix is factored once, fraction-free (Bareiss), and each prime solves
+in integers against that factorisation.  The traces read one sieved
+table of Hurwitz class numbers, kept small by small n.
 """
 
 import threading
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .dimensions import dim_cuspforms, psi_index
 from .errors import ConsistencyError, TraceBudgetExceeded
 from .exact import IntPolynomial, divisors, euler_phi, factorize, is_prime
 
 __all__ = [
-    "DISC_CAP_DEFAULT", "trace_tn", "charpoly_from_traces", "trace_feasible",
+    "DISC_CAP_DEFAULT", "trace_tn", "charpoly_from_traces", "charpolys_from_traces",
+    "trace_feasible",
 ]
 
 # largest |t^2 - 4n| the bundled class number table will sieve; covers
@@ -223,72 +227,32 @@ def _hecke_product(k, a, b):
     return [(a * b // (d * d), d ** (k - 1)) for d in divisors(gcd(a, b))]
 
 
-def _new_charpoly(k, M, p, tr_new):
-    """det(1 - T_p X) on S_k^new(M), p not dividing M.
+def _eliminate(cols, v, rows):
+    """Carries v through the fraction-free elimination that cols records.
 
-    tr_new(n) is the trace of T_n on S_k^new(M).  Picks T_{n_i} with
-    gcd(n_i, M) = 1 greedily, keeping each one that raises the rank of
-    the Gram matrix G = [tr(T_{n_i} T_{n_j})], held as G = L D L^T, until
-    the rank is dim S_k^new(M).  The matrix of T_p on that basis is
-    C = G^-1 [tr(T_p T_{n_i} T_{n_j})].  For the integer A = den C the
-    Faddeev-LeVerrier recurrence M_1 = I, c_m = -tr(A M_m)/m, M_(m+1) =
-    A M_m + c_m I gives det(1 - C X) = sum c_m X^m / den^m; it raises
-    ArithmeticError unless m den^m | tr(A M_m), i.e. unless the
-    coefficients are integers.
+    cols[i][s] is entry (s, i) of the Bareiss echelon form of the Gram
+    matrix G, so cols[s][s] is its leading principal minor of order s + 1;
+    rows[i][s] is the multiplier in row i at step s, which G's symmetry
+    makes cols[i][s] (Bareiss, Math. Comp. 22, 1968).  Every division is
+    exact.
     """
-    dim = tr_new(1)
-    expected = sum(_beta(M // L) * dim_cuspforms(k, L) for L in divisors(M))
-    if dim != expected:
-        raise ConsistencyError(
-            f"tr T_1 on S_{k}^new({M}) is {dim}, its dimension is {expected}")
-    if dim == 0:
-        return IntPolynomial([1])
+    prev = 1
+    for s, col in enumerate(cols):
+        piv = col[s]
+        for i in range(s + 1, len(v)):
+            v[i] = (piv * v[i] - rows[i][s] * v[s]) // prev
+        prev = piv
 
-    def pair(a, b):
-        return sum(c * tr_new(n) for n, c in _hecke_product(k, a, b))
 
-    basis, lower, diag = [], [], []
-    bound = _basis_bound(k, M)
-    n = 0
-    while len(basis) < dim:
-        n += 1
-        if n > bound:
-            raise ConsistencyError(
-                f"T_n, n <= {bound}, span rank {len(basis)} on "
-                f"S_{k}^new({M}), not its dimension {dim}")
-        if gcd(n, M) != 1:
-            continue
-        u = []
-        for i, m in enumerate(basis):
-            u.append(pair(n, m) - sum(lij * uj for lij, uj in zip(lower[i], u)))
-        row = [ui / di for ui, di in zip(u, diag)]
-        rest = pair(n, n) - sum(ui * ri for ui, ri in zip(u, row))
-        if rest < 0:
-            raise ConsistencyError(
-                f"trace form not positive definite on S_{k}^new({M}) at T_{n}")
-        if rest:
-            basis.append(n)
-            lower.append(row)
-            diag.append(Fraction(rest))
+def _faddeev_leverrier(A_cols, den):
+    """det(1 - (A / den) X) for the integer matrix A given by its columns.
 
-    # solve L D L^T C = H column by column
-    cols = []
-    for b in basis:
-        y = []
-        for i, a in enumerate(basis):
-            h = sum(c1 * c2 * tr_new(m2)
-                    for m1, c1 in _hecke_product(k, a, b)
-                    for m2, c2 in _hecke_product(k, p, m1))
-            y.append(h - sum(lij * yj for lij, yj in zip(lower[i], y)))
-        z = [yi / di for yi, di in zip(y, diag)]
-        for i in range(dim - 1, -1, -1):
-            z[i] -= sum(lower[j][i] * z[j] for j in range(i + 1, dim))
-        cols.append(z)
-
-    # Faddeev-LeVerrier over the integers: C = A / den; AM holds A M_m
-    den = lcm(*(c.denominator for col in cols for c in col))
-    A_cols = [[int(c * den) for c in col] for col in cols]
-    AM = [list(row) for row in zip(*A_cols)]
+    M_1 = I, c_m = -tr(A M_m)/m, M_(m+1) = A M_m + c_m I gives the
+    coefficients c_m / den^m; raises ArithmeticError unless
+    m den^m | tr(A M_m), i.e. unless they are integers.
+    """
+    dim = len(A_cols)
+    AM = [list(row) for row in zip(*A_cols)]  # A M_m
     coeffs = [1]
     for m in range(1, dim + 1):
         if m > 1:  # A M_m = M_m A, M_m = A M_(m-1) + c_(m-1) I
@@ -305,6 +269,71 @@ def _new_charpoly(k, M, p, tr_new):
     return IntPolynomial(coeffs)
 
 
+def _new_charpoly(k, M, primes, tr_new):
+    """{p: det(1 - T_p X) on S_k^new(M)} for the primes p, none dividing M.
+
+    tr_new(n) is the trace of T_n on S_k^new(M).  Picks T_{n_i} with
+    gcd(n_i, M) = 1 greedily, keeping each one that raises the rank of
+    the Gram matrix G = [tr(T_{n_i} T_{n_j})], until the rank is
+    dim S_k^new(M).  G is factored once, fraction-free, for every prime
+    (_eliminate): a candidate raises the rank when the leading principal
+    minor it adds is positive, and a negative one means the trace form is
+    not positive definite.  The matrix of T_p on that basis is
+    C = G^-1 H, H = [tr(T_p T_{n_i} T_{n_j})]; the same factorisation
+    solves G X = det(G) H in integers.  With g = gcd(det G, X),
+    den = det(G) / g is the least common denominator of C and A = X / g
+    is den C, which _faddeev_leverrier turns into det(1 - C X).
+    """
+    dim = tr_new(1)
+    expected = sum(_beta(M // L) * dim_cuspforms(k, L) for L in divisors(M))
+    if dim != expected:
+        raise ConsistencyError(
+            f"tr T_1 on S_{k}^new({M}) is {dim}, its dimension is {expected}")
+    if dim == 0:
+        return {p: IntPolynomial([1]) for p in primes}
+
+    def pair(a, b):
+        return sum(c * tr_new(n) for n, c in _hecke_product(k, a, b))
+
+    basis, cols = [], []
+    bound = _basis_bound(k, M)
+    n = 0
+    while len(basis) < dim:
+        n += 1
+        if n > bound:
+            raise ConsistencyError(
+                f"T_n, n <= {bound}, span rank {len(basis)} on "
+                f"S_{k}^new({M}), not its dimension {dim}")
+        if gcd(n, M) != 1:
+            continue
+        col = [pair(n, m) for m in basis] + [pair(n, n)]
+        _eliminate(cols, col, cols + [col])
+        if col[-1] < 0:
+            raise ConsistencyError(
+                f"trace form not positive definite on S_{k}^new({M}) at T_{n}")
+        if col[-1]:
+            basis.append(n)
+            cols.append(col)
+
+    det = cols[-1][-1]
+    out = {}
+    for p in primes:
+        X_cols = []
+        for b in basis:
+            x = [sum(c1 * c2 * tr_new(m2)
+                     for m1, c1 in _hecke_product(k, a, b)
+                     for m2, c2 in _hecke_product(k, p, m1))
+                 for a in basis]
+            _eliminate(cols, x, cols)
+            for i in range(dim - 1, -1, -1):  # back substitution: x[i] = det(G) C[i][b]
+                known = sum(cols[j][i] * x[j] for j in range(i + 1, dim))
+                x[i] = (det * x[i] - known) // cols[i][i]
+            X_cols.append(x)
+        g = gcd(det, *(x for col in X_cols for x in col))
+        out[p] = _faddeev_leverrier([[x // g for x in col] for col in X_cols], det // g)
+    return out
+
+
 def trace_feasible(k, N, p):
     """Whether charpoly_from_traces can run to completion for (k, N, p).
 
@@ -316,28 +345,32 @@ def trace_feasible(k, N, p):
     return 4 * p * _basis_bound(k, N) ** 2 <= DISC_CAP_DEFAULT
 
 
-def charpoly_from_traces(k, N, p):
-    """det(1 - T_p X) on S_k(Gamma_0(N)), p a prime not dividing N, from traces.
+def charpolys_from_traces(k, N, primes):
+    """{p: det(1 - T_p X) on S_k(Gamma_0(N))} for primes p not dividing N, from traces.
 
-    The product over M | N of det(1 - T_p X) on S_k^new(M) (see
-    _new_charpoly) to the power sigma_0(N/M).  New-subspace traces come
-    from tr^new_M(T_n) = sum over L | M of beta(M/L) tr_L(T_n), beta the
-    Dirichlet inverse of sigma_0.  Raises TraceBudgetExceeded, with this
+    Each polynomial is the product over M | N of det(1 - T_p X) on
+    S_k^new(M) (see _new_charpoly) to the power sigma_0(N/M).
+    New-subspace traces come from tr^new_M(T_n) = sum over L | M of
+    beta(M/L) tr_L(T_n), beta the Dirichlet inverse of sigma_0.  Each
+    trace is computed once per call and each Gram basis is factored once,
+    whatever the number of primes.  Raises TraceBudgetExceeded, with this
     request's k and N and the out-of-reach index n, when a trace it needs
     is beyond the class number table, and ConsistencyError when a rank or
     dimension check fails.
     """
-    if not is_prime(p):
-        raise ValueError(f"Hecke index must be prime, got {p}")
     if k < 2 or k % 2:
         raise ValueError(f"weight must be even and >= 2, got {k}")
     if N < 1:
         raise ValueError(f"level must be >= 1, got {N}")
-    if N % p == 0:
-        raise ValueError(f"trace route needs p not dividing N, got p={p}, N={N}")
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"Hecke index must be prime, got {p}")
+        if N % p == 0:
+            raise ValueError(f"trace route needs p not dividing N, got p={p}, N={N}")
     dim = dim_cuspforms(k, N)
-    if dim == 0:
-        return IntPolynomial([1])
+    out = {p: IntPolynomial([1]) for p in primes}
+    if dim == 0 or not primes:
+        return out
     traces = {}  # (L, n) -> tr T_n on S_k(L), shared by the M | N
 
     def tr_level(L, n):
@@ -345,7 +378,6 @@ def charpoly_from_traces(k, N, p):
             traces[L, n] = trace_tn(k, L, n)
         return traces[L, n]
 
-    out = IntPolynomial([1])
     for M in divisors(N):
         # levels whose traces enter tr^new_M; a zero space has zero traces
         terms = [(L, _beta(M // L)) for L in divisors(M)
@@ -354,15 +386,22 @@ def charpoly_from_traces(k, N, p):
         def tr_new(n, terms=terms):
             return sum(b * tr_level(L, n) for L, b in terms)
         try:
-            block = _new_charpoly(k, M, p, tr_new)
+            blocks = _new_charpoly(k, M, primes, tr_new)
         except TraceBudgetExceeded as exc:
             raise TraceBudgetExceeded(
-                f"charpoly at (k={k}, N={N}, p={p}) needs tr T_{exc.n}, "
-                f"beyond the class number table", k=k, N=N, n=exc.n) from exc
-        for _ in divisors(N // M):
-            out = out * block
-    if out.raw_degree != dim:
-        raise ConsistencyError(
-            f"trace charpoly at (k={k}, N={N}, p={p}) has degree "
-            f"{out.raw_degree}, dim is {dim}")
+                f"charpoly at (k={k}, N={N}, p={','.join(map(str, primes))}) needs "
+                f"tr T_{exc.n}, beyond the class number table", k=k, N=N, n=exc.n) from exc
+        for p, block in blocks.items():
+            for _ in divisors(N // M):
+                out[p] = out[p] * block
+    for p, f in out.items():
+        if f.raw_degree != dim:
+            raise ConsistencyError(
+                f"trace charpoly at (k={k}, N={N}, p={p}) has degree "
+                f"{f.raw_degree}, dim is {dim}")
     return out
+
+
+def charpoly_from_traces(k, N, p):
+    """det(1 - T_p X) on S_k(Gamma_0(N)), p a prime not dividing N, from traces."""
+    return charpolys_from_traces(k, N, (p,))[p]

@@ -45,6 +45,17 @@ def test_ghost_cut_off_changes_no_slope(regular_grid):
             if ghost_slopes(p, N, k) != ghost_slopes(p, N, k, extra=10)] == []
 
 
+def test_ghost_agrees_beyond_criterion_6_direct_cap(store):
+    # criterion 6 checks assembly = direct only where dim S_k(Np) <= 45;
+    # of the 219 points of its grid beyond that cap, 218 have odd p
+    points = [(p, N, k)
+              for k in range(2, 17, 2) for N in range(1, 15) for p in (3, 5, 7, 11, 13)
+              if N % p and dim_cuspforms(k, N * p) > 45 and is_regular(p, N, store).regular]
+    assert len(points) == 164
+    assert [(p, N, k) for p, N, k in points
+            if ghost_slopes(p, N, k) != _exact(p, N, k, store)] == []
+
+
 @pytest.mark.parametrize("p, N, k_max, differ", [
     (13, 5, 30, {6, 10, 18, 20, 22, 24, 30}),  # j = 6, witness at 18
     (59, 1, 80, {16, 46, 74, 76}),  # j = 16

@@ -18,9 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from heckeslopes import modsym, traceforms
 from heckeslopes.cache import CacheRecord, CharpolyCache
 from heckeslopes.cli import main
 from heckeslopes.errors import ConsistencyError
+from heckeslopes.exact import IntPolynomial
 from heckeslopes.slopes import default_witness_bound, is_regular, witness_label
 from heckeslopes.survey import (
     COLUMNS,
@@ -365,6 +367,7 @@ def test_cli_usage_errors(capsys):
     ["survey", "--p", "2", "--N", "11", "--k-max", "-4"],
     ["crosscheck", "--p", "2", "--N", "1-3", "--k-max", "-2"],  # was an empty-grid PASS
     ["slopes", "--p", "2", "--N", "11", "--k-max", "-4", "--format", "csv"],  # was a bare header
+    ["crosscheck", "--p", "2", "--N", "1-3", "--direct-cap", "-1"],  # was "beyond dim cap -1"
 ])
 def test_cli_negative_weight_bound_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as ei:
@@ -563,6 +566,35 @@ def test_cli_crosscheck_small_grid(capsys):
     assert code == 0
     assert out.rstrip().endswith("crosscheck: PASS")
     assert "engine identity:" in out and "assembly = direct:" in out
+
+
+def test_cli_crosscheck_shares_traces_and_reports_in_grid_order(monkeypatch, capsys):
+    calls = []
+    trace_tn = traceforms.trace_tn
+
+    def counted(k, N, n):
+        calls.append((k, N, n))
+        return trace_tn(k, N, n)
+
+    charpoly_cuspidal = modsym.charpoly_cuspidal
+
+    def perturbed(k, N, p):
+        f = charpoly_cuspidal(k, N, p)
+        if (k, N, p) in ((10, 5, 2), (6, 4, 3)):
+            return IntPolynomial(f.coeffs[:-1] + (f.coeffs[-1] + 1,))
+        return f
+
+    monkeypatch.setattr(traceforms, "trace_tn", counted)
+    monkeypatch.setattr(modsym, "charpoly_cuspidal", perturbed)
+    code = main(["crosscheck", "--p", "2,3,5,7,11,13", "--N", "1-5", "--k-max", "10",
+                 "--direct-cap", "0", "--cache", ""])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert len(calls) <= 133  # 241 when each prime rebuilt the trace route
+    # walked (N, k)-major, but (k=6, N=4, p=3) still reports after (k=10, N=5, p=2)
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL engine mismatch at (k=10, N=5, p=2)", "FAIL engine mismatch at (k=6, N=4, p=3)"]
+    assert out.startswith("engine identity:   130 checked, 0 beyond trace budget\n")
 
 
 def test_cli_crosscheck_empty_grid(capsys):

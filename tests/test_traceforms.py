@@ -5,6 +5,7 @@ traces against q-expansion oracles, Cohen's formula summed over
 primitive forms, and the Manin-symbol engine.
 """
 
+import hashlib
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -20,6 +21,7 @@ from heckeslopes.traceforms import (
     _gegenbauer,
     _new_charpoly,
     charpoly_from_traces,
+    charpolys_from_traces,
     trace_feasible,
     trace_tn,
 )
@@ -204,6 +206,22 @@ def test_charpoly_from_traces_pins():
     assert charpoly_from_traces(2, 11, 3) == IntPolynomial([1, 1])
 
 
+def test_charpolys_from_traces_pins_the_criterion_2_grid():
+    # the 536 points of criterion 2's grid, one call per (k, N); the digest
+    # is that of the polynomials charpoly_from_traces gave point by point
+    # when each point solved its own Gram system in Fractions
+    primes = (2, 3, 5, 7, 11, 13)
+    polys = []
+    for k in range(2, 17, 2):
+        for N in range(1, 15):
+            by_prime = charpolys_from_traces(k, N, [p for p in primes if N % p])
+            polys += [by_prime[p] for p in primes if N % p]
+    assert len(polys) == 536
+    text = "\n".join(",".join(map(str, f.coeffs)) for f in polys)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "488fd0983cfec11843ba2f2b8fc6a04583d772dad509b847b3c46d378b9c3241"
+
+
 @pytest.mark.parametrize("k, N, p, reason", [
     (12, 1, 4, "must be prime"),  # the trace route gave T_4's polynomial [1, 1472]
     (12, 1, 1, "must be prime"),  # and blamed p = 1 on "p not dividing N"
@@ -237,11 +255,11 @@ def test_new_charpoly_integer_recurrence():
     half = Fraction(1, 2)
     P3 = [[1, 3 * half], [2, 1]]
     tr = _two_dim_traces(24, [[2, 3], [4, 2]], P3)
-    assert _new_charpoly(24, 1, 3, tr) == IntPolynomial([1, -2, -2])
+    assert _new_charpoly(24, 1, (3,), tr) == {3: IntPolynomial([1, -2, -2])}
     # X^2 - 2X + 1/2: the linear coefficient is integral, the constant not
     P3 = [[1, half], [1, 1]]
     with pytest.raises(ArithmeticError):
-        _new_charpoly(24, 1, 3, _two_dim_traces(24, P3, P3))
+        _new_charpoly(24, 1, (3,), _two_dim_traces(24, P3, P3))
 
 
 def test_cross_engine_agreement_sample():
