@@ -31,7 +31,8 @@ _EXPORTS = {
                "up_assembly", "up_slopes_direct", "witness_label"),
     "survey": ("COLUMNS", "CSV_HEADER", "ReportRow", "SurveyConfig", "SurveyResult",
                "compute_pair", "render_report", "run_survey"),
-    "traceforms": ("charpoly_from_traces", "trace_feasible", "trace_tn"),
+    "traceforms": ("charpoly_from_traces", "charpolys_from_traces", "trace_feasible",
+                   "trace_tn"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -22,6 +22,8 @@ from typing import NamedTuple
 from .dimensions import dim_cuspforms
 from .exact import IntPolynomial, is_prime
 
+__all__ = ["CacheRecord", "CharpolyCache", "operator_label"]
+
 SCHEMA_VERSION = 1
 ENGINES = ("modsym", "trace", "both")
 _FIELDS = ("schema", "p", "level", "weight", "operator", "coeffs", "engine")

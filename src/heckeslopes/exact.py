@@ -263,11 +263,11 @@ def newton_slopes(f, p):
                          for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
 
 
-def inverse_charpoly(M, *, root_bound):
-    """det(1 - M*X) as an IntPolynomial of raw degree dim(M).
+def inverse_charpoly(M, *, root_bound, den=1):
+    """det(1 - (M / den) X) as an IntPolynomial of raw degree dim(M).
 
     Entries may be ints or Fractions.  The caller promises an integral
-    charpoly whose eigenvalues all have absolute value at most
+    charpoly of M / den whose eigenvalues all have absolute value at most
     root_bound, as Deligne's bound does for T_p; linalg.charpoly_monic
     computes it modulo enough primes for that bound and certifies it
     against one more, raising ArithmeticError if the promise was broken.
@@ -280,4 +280,4 @@ def inverse_charpoly(M, *, root_bound):
         if len(row) != n:
             raise ValueError("non-square matrix")
     # det(X*I - M) = sum b_i X^i  ==>  det(1 - M X) = sum b_{n-j} X^j
-    return IntPolynomial(charpoly_monic(M, root_bound)[::-1])
+    return IntPolynomial(charpoly_monic(M, root_bound, den)[::-1])

@@ -2,28 +2,31 @@
 polynomial algorithm.
 
 SparseRREF is the only Gaussian elimination.  It is fraction-free
-(Bareiss, Math. Comp. 22, 1968): it stores primitive integer rows, which
-the modular-symbols presentation reads directly.  Rows are kept in
-echelon form as they arrive and back-substituted once, from the last
-pivot, when rows is next read, so each stored row is rewritten once per
-read rather than once per later pivot; add_row and rows are all it has.
-SpanSolver eliminates a set of rows once and keeps the reduced rows and
-the free columns: the coordinate chart of their kernel, whose basis
-kernel_basis reads off the chart with no second elimination.
+(Bareiss, Math. Comp. 22, 1968): it takes sparse integer rows and stores
+primitive integer rows, which the modular-symbols presentation reads
+directly.  Rows are kept in echelon form as they arrive and
+back-substituted once, from the last pivot, when rows is next read, so
+each stored row is rewritten once per read rather than once per later
+pivot; add_row and rows are all it has.  SpanSolver eliminates a set of
+integer rows once and keeps the reduced rows and the free columns: the
+coordinate chart of their kernel, whose basis kernel_basis reads off the
+chart with no second elimination.
 
-charpoly_monic is multimodular (Stein, Modular Forms: A Computational
-Approach, GSM 79) and takes one bound: the caller promises an integral
-charpoly whose roots satisfy |lambda| <= rho, so its coefficients are at
-most C(n, i) rho^i.  For T_p and U_p on S_k(Gamma_0(N)) the promise is a
-theorem: the charpoly is integral, and Deligne (La conjecture de Weil I,
-1974) gives |a_p| <= 2 p^((k-1)/2), while U_p at p | N has |lambda| <=
-p^((k-1)/2).  The matrix is reduced to Hessenberg form modulo a fixed
-list of primes (those below 2^127, largest first, found by
-exact.is_prime, skipping those that divide a denominator), and the
-residues are combined by CRT and lifted symmetrically once the product
-of the primes exceeds twice the bound.  The lift is certified against
-one further prime; a mismatch means the promise was broken and raises
-ArithmeticError.
+charpoly_monic(M, root_bound, den) is the characteristic polynomial of
+M / den, M an integer matrix (Fraction entries are cleared into den
+first, on the same path).  It is multimodular (Stein, Modular Forms: A
+Computational Approach, GSM 79) and takes one bound: the caller promises
+an integral charpoly whose roots satisfy |lambda| <= rho, so its
+coefficients are at most C(n, i) rho^i.  For T_p and U_p on
+S_k(Gamma_0(N)) the promise is a theorem: the charpoly is integral, and
+Deligne (La conjecture de Weil I, 1974) gives |a_p| <= 2 p^((k-1)/2),
+while U_p at p | N has |lambda| <= p^((k-1)/2).  M / den is reduced to
+Hessenberg form modulo a fixed list of primes (those below 2^127,
+largest first, found by exact.is_prime, skipping those that divide den),
+and the residues are combined by CRT and lifted symmetrically once the
+product of the primes exceeds twice the bound.  The lift is certified
+against one further prime; a mismatch means the promise was broken and
+raises ArithmeticError.
 
 Everything is deterministic: the pivot of a new row is its smallest
 column once reduced, and every read sees fully reduced pivot rows, the
@@ -35,7 +38,7 @@ on every run.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import mul, sub
 
 from .exact import is_prime
@@ -70,8 +73,8 @@ def _charpoly_mod(H, ell):
     """det(X*I - H) mod ell, constant first, for a matrix of residues.
 
     Similarity reduction to Hessenberg form (H is overwritten), then the
-    leading-principal-minor recurrence.  A pivot that does not invert
-    modulo ell raises ValueError.
+    leading-principal-minor recurrence.  ell need not be prime: a pivot
+    that does not invert modulo ell raises ValueError.
 
     Row operations skip the reduction mod ell: each adds f*b with f and b
     reduced, so entries stay below (n + 1) * ell^2.  The pivot row and
@@ -125,41 +128,68 @@ def _charpoly_mod(H, ell):
     return polys[n]
 
 
-def charpoly_monic(M, root_bound):
-    """Coefficients of det(X*I - M), constant first, as ints.
+def charpoly_monic(M, root_bound, den=1):
+    """Coefficients of det(X*I - M / den), constant first, as ints.
 
-    M is a square matrix of ints or Fractions whose charpoly is integral
-    with every root of absolute value at most root_bound = rho, so the
-    coefficient of X^(n-i) is at most C(n, i) rho^i.  M is reduced modulo
-    the primes of _moduli that divide no denominator; the residues are
-    combined by CRT until their product P exceeds twice that bound, then
-    lifted to (-P/2, P/2].  The lift must agree with one further prime,
-    else ArithmeticError is raised.
+    M is a square matrix of ints, or of Fractions whose denominators are
+    first cleared into den, and the charpoly of M / den is integral with
+    every root of absolute value at most root_bound = rho, so the
+    coefficient of X^(n-i) is at most C(n, i) rho^i.  The primes of
+    _moduli that do not divide den are taken until their product P
+    exceeds twice that bound, plus one further prime; the residues modulo
+    all of them are combined by CRT, and those modulo P lifted to
+    (-P/2, P/2].  The lift must agree with the further prime, else
+    ArithmeticError is raised.
+
+    The residues come three primes at a time, from one reduction modulo
+    their product, which at n = 20 costs about twice one reduction modulo
+    a single prime.
     """
     n = len(M)
     if n == 0:
         return [1]
     d = lcm(*(x.denominator for row in M for x in row))
-    B = [[x.numerator * (d // x.denominator) for x in row] for row in M]
+    M = [[x.numerator * (d // x.denominator) for x in row] for row in M]
+    den *= d
     bound = max(comb(n, i) * root_bound ** i for i in range(n + 1))
-
-    def residues(ell):
-        s = pow(d, -1, ell)
-        return _charpoly_mod([[x * s % ell for x in row] for row in B], ell)
-
-    primes = (ell for ell in _moduli() if d % ell)
-    lift, P = [0] * (n + 1), 1
+    primes = (ell for ell in _moduli() if den % ell)
+    mods, P = [], 1
     while P <= 2 * bound:
-        ell = next(primes)
-        t = pow(P, -1, ell)
-        lift = [x + P * ((r - x) * t % ell) for x, r in zip(lift, residues(ell))]
-        P *= ell
+        mods.append(next(primes))
+        P *= mods[-1]
+    extra = next(primes)
+    mods.append(extra)
+    res = _crt(n + 1, ((prod(mods[i:i + 3]), _residues(M, den, mods[i:i + 3]))
+                       for i in range(0, len(mods), 3)))
+    lift = [x % P for x in res]
     lift = [x - P if 2 * x > P else x for x in lift]
-    ell = next(primes)
-    if any((x - r) % ell for x, r in zip(lift, residues(ell))):
+    if any((x - r) % extra for x, r in zip(lift, res)):
         raise ArithmeticError("characteristic polynomial exceeds the root bound %d "
                               "or is not integral" % root_bound)
     return lift
+
+
+def _residues(M, den, primes):
+    """det(X*I - M / den) modulo the product Q of primes, by one reduction
+    modulo Q.  A pivot that is no unit there vanishes modulo some of the
+    primes; then each prime is taken on its own."""
+    Q = prod(primes)
+    s = pow(den, -1, Q)
+    try:
+        return _charpoly_mod([[x * s % Q for x in row] for row in M], Q)
+    except ValueError:
+        return _crt(len(M) + 1, ((ell, _residues(M, den, [ell])) for ell in primes))
+
+
+def _crt(n, parts):
+    """The n residues modulo the product of pairwise coprime moduli, from
+    (modulus, n residues) pairs."""
+    out, Q = [0] * n, 1
+    for q, res in parts:
+        t = pow(Q, -1, q)
+        out = [x + Q * ((r - x) * t % q) for x, r in zip(out, res)]
+        Q *= q
+    return out
 
 
 def _sub_multiple(row, f, other):
@@ -183,9 +213,9 @@ def _make_primitive(row):
 
 
 class SparseRREF:
-    """Reduced echelon form of the span of sparse integer/rational rows.
+    """Reduced echelon form of the span of sparse integer rows.
 
-    Rows are dicts {column: coefficient}.  add_row keeps an echelon form:
+    Rows are dicts {column: int}.  add_row keeps an echelon form:
     one integer row per pivot column, primitive (entry gcd 1) and positive
     at the pivot, which is its smallest column.  The first read of rows
     after an insert back-substitutes once, from the last pivot, so that
@@ -205,8 +235,7 @@ class SparseRREF:
         (a * row - f * prow) / gcd(a, f).  The first non-pivot column left
         is the new pivot, and the row is stored there, made primitive.
         """
-        den = lcm(*(v.denominator for v in row.values()))
-        vec = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        vec = {c: v for c, v in row.items() if v}
         rows = self._rows
         cols = list(vec)
         heapify(cols)
@@ -226,9 +255,16 @@ class SparseRREF:
             if a != h:
                 m = a // h
                 vec = {k: v * m for k, v in vec.items()}
-            for k in prow.keys() - vec.keys():
-                heappush(cols, k)
-            _sub_multiple(vec, f // h, prow)
+            f //= h
+            for k, v in prow.items():
+                x = vec.get(k)
+                if x is None:
+                    vec[k] = -f * v
+                    heappush(cols, k)
+                elif x != f * v:
+                    vec[k] = x - f * v
+                else:
+                    del vec[k]
             g = gcd(*vec.values())
             if g > 1:
                 vec = {k: v // g for k, v in vec.items()}
@@ -260,7 +296,7 @@ class SparseRREF:
 class SpanSolver:
     """The elimination of sparse rows, and the coordinate chart of their kernel.
 
-    rows is the reduced echelon form of the given rows (pivot column ->
+    rows is the reduced echelon form of the given integer rows (pivot column ->
     primitive integer row, as SparseRREF.rows) and free the other columns
     below ncols.  solve(target) raises ValueError unless every reduced row
     vanishes on target; otherwise it returns target's entries at the free
@@ -293,10 +329,12 @@ def kernel_basis(chart):
     and echelon-shaped.
     """
     basis = []
+    zero, one = Fraction(0), Fraction(1)
     for c in chart.free:
-        v = [Fraction(0)] * chart.ncols
-        v[c] = Fraction(1)
+        v = [zero] * chart.ncols
+        v[c] = one
         for pc, prow in chart.rows.items():
-            v[pc] = Fraction(-prow.get(c, 0), prow[pc])
+            if c in prow:
+                v[pc] = Fraction(-prow[c], prow[pc])
         basis.append(tuple(v))
     return basis

@@ -15,7 +15,9 @@ the free generators then sit near i = w, where the packed Hecke products
 below are lopsided and cheaper than at middle exponents.  The three-term
 relations go through fraction-free sparse row reduction (a quarter of the
 naive column count), whose primitive integer rows give the projections
-over one denominator, the lcm of the pivot entries.
+over one denominator, the lcm of the pivot entries.  They are fed from
+the middle exponent i = w/2 outwards, the order that meets the least
+fill-in; the echelon form is the same in any order.
 
 The three-term relations R(x) = x + x.tau + x.tau^2 are written only for
 the symbols at one point per orbit of <tau, eta> on P^1(Z/M), with
@@ -48,12 +50,16 @@ over the family per (generator, target point), and only then unpacked
 and projected.  A digit of such a sum has absolute value at most
 len(family) * max(|a| + |b|, |c| + |d|)^w, and 2^(B-1) is taken above
 that bound, so each digit is read exactly from the low end in the
-balanced range [-2^(B-1), 2^(B-1)).  The images of the cuspidal basis
-vectors, each scaled by the lcm of its denominators, are summed in
-integers too.  One SpanSolver per space, the only elimination of the
-boundary rows, is the chart of the boundary map's kernel: the cuspidal
-basis is read off it, and it reads the images' coordinates off the free
-columns.
+balanced range [-2^(B-1), 2^(B-1)).  One SpanSolver per space, the only
+elimination of the boundary rows, is the chart of the boundary map's
+kernel: the cuspidal basis is read off it, and it reads the images'
+coordinates off the free columns.  The images are summed in integers
+too, from the chart's reduced rows: the basis vector at free column c,
+scaled by the lcm P of the chart's pivot entries, is P at c and
+-prow[c] * (P / prow[pc]) at each pivot pc.  So T_p on the cuspidal
+basis is an integer matrix over one denominator, P * _den, with no
+Fraction between the relations and the characteristic polynomial;
+hecke_matrix is its Fraction view.
 
 Cremona's family is closed, up to sign, under h -> JhJ, J = [-1,0;0,1]
 (at p = 2 two members have no partner), and x.(JhJ) = ((x.J).h).J is
@@ -64,7 +70,7 @@ are one point and only even i are live, so the product is doubled.  A
 single h does not act on the quotient, only the family does (Merel), so
 the pairs are summed over the whole family before any projection.
 Columns are assembled only for the free generators in the support of
-the cuspidal basis, the only ones hecke_matrix reads.
+the cuspidal basis, the only ones integer_hecke_matrix reads.
 
 T_p's characteristic polynomial is multimodular (see linalg), bounded by
 Deligne's |a_p| <= 2 p^((k-1)/2), which also bounds U_p at p | M.
@@ -133,19 +139,28 @@ def _classes(w, npts, sig, jay):
     x = -(-1)^i (w-i, sigma t) = (-1)^i (i, J t) = -(w-i, J sigma t); a
     member of the orbit met with two signs makes the class zero, sign 0.
     The root is the least member, or the greatest at level 1 (see the
-    module docstring).
+    module docstring).  Each orbit is read once, at its first member, and
+    written out for all of its members.
     """
     pick = max if npts == 1 else min
-    out = []
+    out = [None] * ((w + 1) * npts)
     for i in range(w + 1):
         even = 1 if i % 2 == 0 else -1
         lo, hi = i * npts, (w - i) * npts
         for t in range(npts):
-            members = ((lo + t, 1), (hi + sig[t], -even), (lo + jay[t], even),
-                       (hi + jay[sig[t]], -1))
-            orbit = dict(members)
+            x = lo + t
+            if out[x] is not None:
+                continue
+            st = sig[t]
+            # e_y = sign * e_x for each member y
+            orbit, live = {x: 1}, 1
+            for y, sign in ((hi + st, -even), (lo + jay[t], even), (hi + jay[st], -1)):
+                if orbit.setdefault(y, sign) != sign:
+                    live = 0
             r = pick(orbit)
-            out.append((r, orbit[r] if all(orbit[y] == s for y, s in members) else 0))
+            sr = orbit[r] * live
+            for y, sign in orbit.items():
+                out[y] = (r, sign * sr)
     return out
 
 
@@ -289,8 +304,10 @@ class PlusQuotient:
                 for u in (t, tau[t], tau2[t]):
                     seen[u] = seen[jay[sig[u]]] = True
 
+        # the exponents from the middle out, the greater first at equal
+        # distance: about a fifth of the work of 0..w at k = 16, M = 143
         rref = SparseRREF()
-        for i in range(w + 1):
+        for i in sorted(range(w + 1), key=lambda i: (abs(2 * i - w), -i)):
             # three-term relation x + x.tau + x.tau^2 = 0 written out on
             # generators (weight factors from the polynomial action)
             weights = ([(i, 0, 1)]
@@ -317,19 +334,24 @@ class PlusQuotient:
 
         # projection of every generator to the quotient, as integers over
         # one common denominator; the rows are primitive, so the lcm of the
-        # pivot entries is the lcm of the reduced form's denominators
+        # pivot entries is the lcm of the reduced form's denominators.  The
+        # members of a class with the same sign share one projection.
         den = lcm(*(prow[r] for r, prow in pivots.items()))
+        proj = {}
         pi = []
         for r, s in roots:
-            if not s:
-                pi.append({})
-                continue
-            prow = pivots.get(r)
-            if prow is None:
-                pi.append({pos[r]: s * den})
-            else:
-                m = -s * (den // prow[r])
-                pi.append({pos[c]: m * v for c, v in prow.items() if c != r})
+            v = proj.get((r, s))
+            if v is None:
+                prow = pivots.get(r)
+                if not s:
+                    v = {}
+                elif prow is None:
+                    v = {pos[r]: s * den}
+                else:
+                    m = -s * (den // prow[r])
+                    v = {pos[c]: m * x for c, x in prow.items() if c != r}
+                proj[r, s] = v
+            pi.append(v)
         self._den = den
         self._pi = pi
 
@@ -350,13 +372,20 @@ class PlusQuotient:
             if i == 0:
                 row = rows.setdefault(_cusp_class(M, d, c), {})
                 row[col] = row.get(col, 0) - 1
-        self._chart = SpanSolver(rows.values(), self.quotient_dim)
-        self.cuspidal_basis = kernel_basis(self._chart)
+        chart = self._chart = SpanSolver(rows.values(), self.quotient_dim)
+        self.cuspidal_basis = kernel_basis(chart)
         self.dim = len(self.cuspidal_basis)
-        # the free generators hecke_matrix reads: at level 1 the boundary
-        # generator i = w is not among them
-        self._support = sorted({col for v in self.cuspidal_basis
-                                for col, x in enumerate(v) if x})
+        # the cuspidal basis in integers: the vector at free column c, times
+        # the pivot lcm P, is P at c and -prow[c] * (P / prow[pc]) at each
+        # pivot pc, so Hecke images over _den * P need no Fraction
+        P = lcm(*(prow[pc] for pc, prow in chart.rows.items()))
+        self._lifts = [[(c, P)] + [(pc, -prow[c] * (P // prow[pc]))
+                                   for pc, prow in chart.rows.items() if c in prow]
+                       for c in chart.free]
+        self._scale = P * self._den
+        # the free generators the Hecke matrix reads: at level 1 the
+        # boundary generator i = w is not among them
+        self._support = sorted({col for lift in self._lifts for col, _ in lift})
         expected = dim_cuspforms(self.k, self.M)
         if self.dim != expected:
             raise ConsistencyError(
@@ -412,47 +441,55 @@ class PlusQuotient:
                         if t2 is not None:
                             acc[t2] = acc.get(t2, 0) + twin
         mask, top, base = (1 << B) - 1, 1 << (B - 1), 1 << B
+        pi = self._pi
         cols = {}
         for col, acc in sums.items():
             vec = [0] * D
-            for t1, packed in acc.items():
-                for j in range(w + 1):
+            # digit j is the coefficient of generator x = j * npts + t1; the
+            # digits above the last nonzero one are not read
+            for x, packed in acc.items():
+                while packed:
                     coeff = packed & mask
                     if coeff & top:
                         coeff -= base
                     packed = (packed - coeff) >> B
                     if coeff:
-                        for fp, fv in self._pi[j * npts + t1].items():
+                        for fp, fv in pi[x].items():
                             vec[fp] += coeff * fv
+                    x += npts
             cols[col] = vec
         return cols
 
-    def hecke_matrix(self, p):
-        """Matrix of T_p (U_p when p | M) on the cuspidal basis, p prime."""
+    def integer_hecke_matrix(self, p):
+        """(A, d): T_p (U_p when p | M) on the cuspidal basis is A / d, p prime.
+
+        A is an integer matrix and d = _den times the chart's pivot lcm:
+        each column of A is the image of one scaled basis vector (see
+        _lifts), read off the chart, which checks that it stays cuspidal.
+        """
         if not is_prime(p):
             raise ValueError(f"Hecke index must be prime, got {p}")
         if self.dim == 0:
-            return []
+            return [], 1
         cols = self._quotient_hecke_columns(p)
         images = []
-        for bvec in self.cuspidal_basis:
-            # the image of L * bvec, in integers, stands for the image of
-            # bvec times L * _den
-            L = lcm(*(x.denominator for x in bvec))
-            img = [0] * self.quotient_dim
-            for col, x in enumerate(bvec):
-                if x:
-                    m = x.numerator * (L // x.denominator)
-                    img = [a + m * b for a, b in zip(img, cols[col])]
+        for (c, P), *rest in self._lifts:
+            img = [P * b for b in cols[c]]
+            for col, m in rest:
+                img = [a + m * b for a, b in zip(img, cols[col])]
             try:
-                coeffs = self._chart.solve(img)
+                images.append(self._chart.solve(img))
             except ValueError:
                 raise ConsistencyError(
                     f"T_{p} does not preserve the cuspidal subspace at "
                     f"(k={self.k}, M={self.M})") from None
-            scale = L * self._den
-            images.append([Fraction(c, scale) for c in coeffs])
-        return [list(row) for row in zip(*images)]
+        return [list(row) for row in zip(*images)], self._scale
+
+    def hecke_matrix(self, p):
+        """Matrix of T_p (U_p when p | M) on the cuspidal basis, p prime,
+        as Fractions: the view of integer_hecke_matrix."""
+        A, d = self.integer_hecke_matrix(p)
+        return [[Fraction(a, d) for a in row] for row in A]
 
 
 # Besides the charpoly store, which keys polynomials by p, the memos are
@@ -469,7 +506,7 @@ def charpoly_cuspidal(k, M, p):
     Raw degree always equals dim S_k, so trailing zero coefficients record
     zero eigenvalues.
     """
+    A, d = plus_quotient(k, M).integer_hecke_matrix(p)
     # Deligne: every eigenvalue of T_p, and of U_p at p | M, has absolute
     # value at most 2 p^((k-1)/2)
-    return inverse_charpoly(plus_quotient(k, M).hecke_matrix(p),
-                            root_bound=2 * (isqrt(p ** (k - 1)) + 1))
+    return inverse_charpoly(A, root_bound=2 * (isqrt(p ** (k - 1)) + 1), den=d)

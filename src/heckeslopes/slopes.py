@@ -23,6 +23,12 @@ from .dimensions import dim_cuspforms, dim_new_at_p
 from .errors import ConsistencyError
 from .exact import SlopeMultiset, is_prime, newton_slopes
 
+__all__ = [
+    "HeckeContext", "RegularityRow", "RegularityVerdict", "UpSlopeAssembly", "Witness",
+    "default_witness_bound", "find_fractional_witness", "is_regular", "refinement_pair",
+    "regularity_weight_range", "tp_slopes", "up_assembly", "up_slopes_direct", "witness_label",
+]
+
 
 def _check_tame_pair(p, N):
     """Raise ValueError unless p is prime and N is a positive level prime to p."""

@@ -26,6 +26,11 @@ from .cache import CharpolyCache
 from .exact import SlopeMultiset
 from .slopes import default_witness_bound, find_fractional_witness, is_regular
 
+__all__ = [
+    "COLUMNS", "CSV_HEADER", "FORMATS", "ReportRow", "SurveyConfig", "SurveyResult",
+    "compute_pair", "render_report", "run_survey",
+]
+
 COLUMNS = ("p", "N", "verdict", "j", "witness_k", "witness_slope", "prediction_match",
            "status")
 CSV_HEADER = ",".join(COLUMNS)

@@ -146,7 +146,7 @@ def trace_tn(k, N, n):
     table.ensure(4 * n)
 
     psi = psi_index(N)
-    level_parts = [(q, q ** e) for q, e in factorize(N).items()]
+    level_parts = [(q, e, q ** e) for q, e in factorize(N).items()]
 
     # integer sums: total holds 24 times the trace, elliptic 12 times the
     # elliptic sum, so -(1/2) elliptic enters total as -elliptic
@@ -160,8 +160,8 @@ def trace_tn(k, N, n):
             loc = -psi  # 12 * (-psi / 12)
         else:
             terms = [(1, 1)]  # (c^2, lambda(c)) over the q^e || N so far
-            for q, Q in level_parts:
-                roots = [x for x in range(Q) if (x * x - t * x + n) % Q == 0]
+            for q, e, Q in level_parts:
+                roots = _quadratic_roots(q, e, t, n)
                 local, nu_prev, qj = [], 0, 1
                 while Q % qj == 0 and D % (qj * qj) == 0:
                     count = sum(1 for x in roots
@@ -193,6 +193,19 @@ def trace_tn(k, N, n):
         raise ArithmeticError(
             f"non-integral trace {Fraction(total, 24)} at (k={k}, N={N}, n={n})")
     return total // 24
+
+
+def _quadratic_roots(q, e, t, n):
+    """The x in [0, q^e) with x^2 - t x + n = 0 mod q^e, in no fixed order.
+
+    A root mod q^i reduces to one mod q^(i-1), so the roots are lifted one
+    power at a time: r + m q^(i-1), m < q, for each root r mod q^(i-1).
+    """
+    roots, qi = [0], 1
+    for _ in range(e):
+        step, qi = qi, qi * q
+        roots = [x for r in roots for x in range(r, qi, step) if (x * x - t * x + n) % qi == 0]
+    return roots
 
 
 def _beta(n):

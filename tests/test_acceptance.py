@@ -26,7 +26,7 @@ from heckeslopes.slopes import (
 from heckeslopes.survey import (COLUMNS, SurveyConfig, compute_pair, render_report,
                                 run_survey)
 from heckeslopes.traceforms import (
-    charpoly_from_traces,
+    charpolys_from_traces,
     trace_feasible,
     trace_tn,
 )
@@ -73,8 +73,15 @@ def test_criterion_2_cross_engine_identity():
     t0 = time.time()
     unreachable = [pt for pt in GRID if not trace_feasible(*pt)]
     assert not unreachable, "beyond the trace route: %r" % unreachable
+    # the trace side one call per (k, N), which shares its traces and Gram
+    # factorisations among the primes
+    primes_at = {}
+    for k, N, p in GRID:
+        primes_at.setdefault((k, N), []).append(p)
+    traced = {(k, N, p): f for (k, N), primes in primes_at.items()
+              for p, f in charpolys_from_traces(k, N, primes).items()}
     mismatches = [(k, N, p) for (k, N, p) in GRID
-                  if charpoly_from_traces(k, N, p) != charpoly_cuspidal(k, N, p)]
+                  if traced[k, N, p] != charpoly_cuspidal(k, N, p)]
     _verdict(2, not mismatches, "%d/%d points agree exactly"
              % (len(GRID) - len(mismatches), len(GRID)), t0, 600)
     assert not mismatches, "cross-engine mismatches: %r" % mismatches

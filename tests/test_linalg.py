@@ -30,7 +30,7 @@ def test_kernel_of_random_systems():
     rng = random.Random(5)
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[Fraction(rng.randint(-4, 4)) for _ in range(m)] for _ in range(n)]
+        rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
         basis = kernel_basis(SpanSolver([dict(enumerate(row)) for row in rows], m))
         mat, pivots = rref(rows, m)
         assert len(basis) == m - len(pivots)
@@ -42,6 +42,13 @@ def test_kernel_of_random_systems():
         for vec in basis:
             for row in rows:
                 assert sum(r * v for r, v in zip(row, vec)) == 0
+
+
+def _cleared(row):
+    """A sparse row of ints and Fractions times the lcm of its denominators:
+    the integer row that SparseRREF and SpanSolver take, with the same span."""
+    d = lcm(*(Fraction(v).denominator for v in row.values()))
+    return {c: int(v * d) for c, v in row.items()}
 
 
 def test_charpoly_monic_matches_cofactor_oracle():
@@ -76,6 +83,15 @@ def test_charpoly_monic_root_bound_path():
     for i in range(12):
         companion[i][11] = -coeffs[i]
     assert charpoly_monic(companion, root_bound=6 * 10**9) == coeffs
+
+
+def test_charpoly_monic_pivot_vanishing_modulo_one_prime():
+    # the first modulus stands at a Hessenberg pivot, where it is no unit
+    # modulo the product of the three primes reduced together; each prime is
+    # then taken on its own, and the roots ell^(1/3) still lift exactly
+    ell = next(_moduli())
+    mat = [[0, 0, 1], [ell, 0, 0], [0, 1, 0]]
+    assert charpoly_monic(mat, root_bound=2**43) == charpoly_reference(mat) == [-ell, 0, 0, 1]
 
 
 def test_moduli_are_the_primes_below_2_to_127():
@@ -125,9 +141,9 @@ def test_sparse_rref_matches_dense():
         for _ in range(nrows):
             row = {}
             for _ in range(rng.randint(0, 4)):
-                row[rng.randrange(ncols)] = Fraction(rng.randint(-5, 5))
+                row[rng.randrange(ncols)] = rng.randint(-5, 5)
             row = {c: v for c, v in row.items() if v}
-            dense.append([row.get(c, Fraction(0)) for c in range(ncols)])
+            dense.append([row.get(c, 0) for c in range(ncols)])
             sparse.add_row(row)
         mat, pivots = rref(dense, ncols)
         assert sorted(sparse.rows) == pivots
@@ -156,7 +172,7 @@ def test_sparse_rref_matches_dense():
                     x = Fraction(x, rng.randint(1, 999))
                 row[rng.randrange(ncols)] = x
             dense.append([row.get(c, 0) for c in range(ncols)])
-            sparse.add_row(row)
+            sparse.add_row(_cleared(row))
         mat, pivots = rref(dense, ncols)
         assert sorted(sparse.rows) == pivots
         assert _dense_rows(sparse, pivots, ncols) == mat
@@ -201,11 +217,13 @@ def test_sparse_rref_reads_between_inserts():
 
 
 def _random_rows(rng, nrows, ncols, fractional):
-    """Sparse rows of ints, or of Fractions with denominators up to 3."""
+    """Sparse integer rows: small ints, or Fractions with denominators up to 3
+    cleared to integer rows."""
     def entry():
         x = rng.randint(-4, 4)
         return Fraction(x, rng.randint(1, 3)) if fractional else x
-    return [{c: entry() for c in range(ncols) if rng.random() < 0.6} for _ in range(nrows)]
+    return [_cleared({c: entry() for c in range(ncols) if rng.random() < 0.6})
+            for _ in range(nrows)]
 
 
 def test_span_solver_roundtrip():

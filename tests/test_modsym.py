@@ -11,7 +11,7 @@ from math import gcd, lcm
 
 import pytest
 
-from heckeslopes import linalg
+from heckeslopes import linalg, modsym
 from heckeslopes.dimensions import dim_cuspforms
 from heckeslopes.errors import ConsistencyError
 from heckeslopes.exact import IntPolynomial, newton_slopes
@@ -87,7 +87,8 @@ def test_hecke_index_guards():
 def test_image_off_the_cuspidal_subspace_raises(k, M, p, monkeypatch):
     # one Hecke column moved along a pivot column of the boundary chart: the
     # first basis vector's image leaves the kernel of the boundary map, and
-    # the chart's row check must say so
+    # the chart's row check must say so, both in the Fraction view and on
+    # the integer route that charpoly_cuspidal takes to the report
     space = PlusQuotient(k, M)
     cols = space._quotient_hecke_columns(p)
     pivot = min(set(range(space.quotient_dim)) - set(space._chart.free))
@@ -96,6 +97,9 @@ def test_image_off_the_cuspidal_subspace_raises(k, M, p, monkeypatch):
     monkeypatch.setattr(space, "_quotient_hecke_columns", lambda n: cols)
     with pytest.raises(ConsistencyError, match=f"T_{p} does not preserve"):
         space.hecke_matrix(p)
+    monkeypatch.setattr(modsym, "plus_quotient", lambda *_: space)
+    with pytest.raises(ConsistencyError, match=f"T_{p} does not preserve"):
+        charpoly_cuspidal(k, M, p)
 
 
 def test_hecke_matrix_matches_fraction_referee():

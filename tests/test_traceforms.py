@@ -19,6 +19,7 @@ from heckeslopes.modsym import charpoly_cuspidal, plus_quotient
 from heckeslopes.traceforms import (
     ClassNumberTable,
     _gegenbauer,
+    _quadratic_roots,
     _new_charpoly,
     charpoly_from_traces,
     charpolys_from_traces,
@@ -128,6 +129,27 @@ def test_trace_matches_eta_oracles():
         assert trace_tn(2, 11, n) == eta_space_coefficient(2, 11, n), n
     for n in (1, 3, 5, 7, 9, 11, 13):
         assert trace_tn(8, 2, n) == eta_space_coefficient(8, 2, n), n
+
+
+def test_quadratic_roots_lift_to_every_root():
+    # the roots lifted one power of q at a time are exactly the residues a
+    # scan over all of [0, q^e) finds
+    for q, e in ((2, 7), (3, 5), (5, 3), (7, 2), (11, 1)):
+        Q = q ** e
+        for t in range(0, 40, 3):
+            for n in (1, 2, 4, 7, 9, 25, 81, 243, 1000):
+                scan = [x for x in range(Q) if (x * x - t * x + n) % Q == 0]
+                assert sorted(_quadratic_roots(q, e, t, n)) == scan, (q, e, t, n)
+
+
+def test_trace_pins_prime_power_levels():
+    # sha256 of these traces as computed by scanning all q^e residues for the
+    # roots of x^2 - t x + n, before the roots were lifted power by power
+    vals = [(k, N, n, trace_tn(k, N, n)) for N in (27, 49, 81, 125, 128, 243)
+            for k in (2, 4, 12) for n in range(1, 61) if gcd(n, N) == 1]
+    assert len(vals) == 750
+    assert hashlib.sha256(repr(vals).encode()).hexdigest() == (
+        "7f294de04e629103dd627ddef88f4b98011167b695f2f3c3a42b7ec6c1a6574d")
 
 
 def test_trace_at_one_calibrates_dimension():
