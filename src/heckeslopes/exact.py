@@ -6,6 +6,7 @@ fractions.Fraction throughout, never floats.
 """
 
 from fractions import Fraction
+from operator import index
 
 __all__ = [
     "IntPolynomial", "SlopeMultiset", "valuation", "newton_slopes", "inverse_charpoly",
@@ -112,19 +113,10 @@ def valuation(r, p):
 # ----------------------------------------------------------------------
 # integer polynomials, constant coefficient first
 
-def _as_int(c):
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise ValueError(f"non-integer coefficient {c}")
-        return c.numerator
-    raise TypeError(f"bad coefficient type {type(c)!r}")
-
-
 class IntPolynomial:
     """Integer polynomial c0 + c1*X + ... stored constant-first.
 
+    Coefficients go through operator.index: a Fraction raises TypeError.
     Trailing zero coefficients are allowed: for a reversed characteristic
     polynomial they record zero eigenvalues, so construction never trims.
     Use trimmed() to drop them; equality compares the trimmed sequences.
@@ -133,7 +125,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(_as_int(c) for c in coeffs)
+        self.coeffs = tuple(map(index, coeffs))
         if not self.coeffs:
             raise ValueError("empty coefficient list")
 
@@ -192,7 +184,6 @@ class SlopeMultiset:
             if m < 0:
                 raise ValueError("negative multiplicity")
             if m:
-                s = Fraction(s)
                 acc[s] = acc.get(s, 0) + m
         self.entries = tuple(sorted(acc.items()))
 
@@ -266,11 +257,12 @@ def newton_slopes(f, p):
 def inverse_charpoly(M, *, root_bound, den=1):
     """det(1 - (M / den) X) as an IntPolynomial of raw degree dim(M).
 
-    Entries may be ints or Fractions.  The caller promises an integral
-    charpoly of M / den whose eigenvalues all have absolute value at most
-    root_bound, as Deligne's bound does for T_p; linalg.charpoly_monic
-    computes it modulo enough primes for that bound and certifies it
-    against one more, raising ArithmeticError if the promise was broken.
+    M is a square matrix of ints; any other entry raises TypeError.  The
+    caller promises an integral charpoly of M / den whose eigenvalues all
+    have absolute value at most root_bound, as Deligne's bound does for
+    T_p; linalg.charpoly_monic computes it modulo enough primes for that
+    bound and certifies it against one more, raising ArithmeticError if
+    the promise was broken.
     Trailing zero coefficients (zero eigenvalues) are preserved.
     """
     from .linalg import charpoly_monic
@@ -279,5 +271,7 @@ def inverse_charpoly(M, *, root_bound, den=1):
     for row in M:
         if len(row) != n:
             raise ValueError("non-square matrix")
+        if not all(isinstance(x, int) for x in row):
+            raise TypeError("matrix entries must be ints")
     # det(X*I - M) = sum b_i X^i  ==>  det(1 - M X) = sum b_{n-j} X^j
     return IntPolynomial(charpoly_monic(M, root_bound, den)[::-1])

@@ -10,11 +10,11 @@ each stored row is rewritten once per read rather than once per later
 pivot; add_row and rows are all it has.  SpanSolver eliminates a set of
 integer rows once and keeps the reduced rows and the free columns: the
 coordinate chart of their kernel, whose basis kernel_basis reads off the
-chart with no second elimination.
+chart with no second elimination, as integer columns over one
+denominator P, the lcm of the chart's pivot entries.
 
 charpoly_monic(M, root_bound, den) is the characteristic polynomial of
-M / den, M an integer matrix (Fraction entries are cleared into den
-first, on the same path).  It is multimodular (Stein, Modular Forms: A
+M / den, M an integer matrix.  It is multimodular (Stein, Modular Forms: A
 Computational Approach, GSM 79) and takes one bound: the caller promises
 an integral charpoly whose roots satisfy |lambda| <= rho, so its
 coefficients are at most C(n, i) rho^i.  For T_p and U_p on
@@ -35,7 +35,6 @@ order and however reads and inserts interleave; the primes are the same
 on every run.
 """
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import comb, gcd, lcm, prod
@@ -131,9 +130,8 @@ def _charpoly_mod(H, ell):
 def charpoly_monic(M, root_bound, den=1):
     """Coefficients of det(X*I - M / den), constant first, as ints.
 
-    M is a square matrix of ints, or of Fractions whose denominators are
-    first cleared into den, and the charpoly of M / den is integral with
-    every root of absolute value at most root_bound = rho, so the
+    M is a square matrix of ints, and the charpoly of M / den is integral
+    with every root of absolute value at most root_bound = rho, so the
     coefficient of X^(n-i) is at most C(n, i) rho^i.  The primes of
     _moduli that do not divide den are taken until their product P
     exceeds twice that bound, plus one further prime; the residues modulo
@@ -148,9 +146,6 @@ def charpoly_monic(M, root_bound, den=1):
     n = len(M)
     if n == 0:
         return [1]
-    d = lcm(*(x.denominator for row in M for x in row))
-    M = [[x.numerator * (d // x.denominator) for x in row] for row in M]
-    den *= d
     bound = max(comb(n, i) * root_bound ** i for i in range(n + 1))
     primes = (ell for ell in _moduli() if den % ell)
     mods, P = [], 1
@@ -300,9 +295,9 @@ class SpanSolver:
     primitive integer row, as SparseRREF.rows) and free the other columns
     below ncols.  solve(target) raises ValueError unless every reduced row
     vanishes on target; otherwise it returns target's entries at the free
-    columns, its exact coordinates on kernel_basis(self) (ints for an
-    integer target), since each basis vector has a 1 at its own free
-    column and a 0 at the others.
+    columns, its exact coordinates on the unscaled kernel basis, that is,
+    on the columns of kernel_basis(self) divided by P: each of those has
+    a 1 at its own free column and a 0 at the others.
     """
 
     def __init__(self, rows, ncols):
@@ -310,7 +305,6 @@ class SpanSolver:
         for row in rows:
             ech.add_row(row)
         self.rows = ech.rows
-        self.ncols = ncols
         self.free = [c for c in range(ncols) if c not in self.rows]
 
     def solve(self, target):
@@ -321,20 +315,17 @@ class SpanSolver:
 
 
 def kernel_basis(chart):
-    """Basis of the kernel of a SpanSolver's rows, read off its reduced form.
+    """(P, columns): a basis of the kernel of a SpanSolver's rows, read off
+    its reduced form, as sparse integer columns over one denominator P.
 
-    One basis vector per free column, in ascending order, as a tuple of
-    Fractions: the vector for free column c has a 1 there and
-    -prow[c] / prow[pc] at each pivot pc, so the basis is deterministic
-    and echelon-shaped.
+    P is the lcm of the chart's pivot entries.  There is one column per
+    free column c, in ascending order, as (index, entry) pairs: P at c and
+    -prow[c] * (P / prow[pc]) at each pivot pc whose row reaches c.  Over
+    P it is the vector with a 1 at its own free column and a 0 at the
+    others, so the basis is deterministic and echelon-shaped.
     """
-    basis = []
-    zero, one = Fraction(0), Fraction(1)
-    for c in chart.free:
-        v = [zero] * chart.ncols
-        v[c] = one
-        for pc, prow in chart.rows.items():
-            if c in prow:
-                v[pc] = Fraction(-prow[c], prow[pc])
-        basis.append(tuple(v))
-    return basis
+    rows = chart.rows
+    P = lcm(*(prow[pc] for pc, prow in rows.items()))
+    return P, [[(c, P)] + [(pc, -prow[c] * (P // prow[pc]))
+                           for pc, prow in rows.items() if c in prow]
+               for c in chart.free]

@@ -29,7 +29,8 @@ over those at t.  With sigma = [0,-1;1,0] and J = [-1,0;0,1],
 J tau J = sigma tau^2 sigma^-1, so modulo the two-term (y.sigma = -y)
 and star (y.J = y) relations R(x.J) = -R(x.sigma); for x.sigma in place
 of x this says that the relations at eta(t), the point of x.sigma.J,
-are those at t.
+are those at t, R at (i, t) being +-R at (w-i, eta(t)); so at a point
+eta fixes (level 1's only point) they are written only for 2i >= w.
 
 The cuspidal subspace is the kernel of the boundary map to star-folded
 cusp classes, its rows keyed by cusp class, read off the P^1 point (see
@@ -52,11 +53,10 @@ len(family) * max(|a| + |b|, |c| + |d|)^w, and 2^(B-1) is taken above
 that bound, so each digit is read exactly from the low end in the
 balanced range [-2^(B-1), 2^(B-1)).  One SpanSolver per space, the only
 elimination of the boundary rows, is the chart of the boundary map's
-kernel: the cuspidal basis is read off it, and it reads the images'
-coordinates off the free columns.  The images are summed in integers
-too, from the chart's reduced rows: the basis vector at free column c,
-scaled by the lcm P of the chart's pivot entries, is P at c and
--prow[c] * (P / prow[pc]) at each pivot pc.  So T_p on the cuspidal
+kernel: the cuspidal basis is read off it (linalg.kernel_basis) as
+integer columns over the lcm P of the chart's pivot entries, and it
+reads the images' coordinates off the free columns.  The images of
+those columns are summed in integers too, so T_p on the cuspidal
 basis is an integer matrix over one denominator, P * _den, with no
 Fraction between the relations and the characteristic polynomial;
 hecke_matrix is its Fraction view.
@@ -303,6 +303,8 @@ class PlusQuotient:
                 reps.append(t)
                 for u in (t, tau[t], tau2[t]):
                     seen[u] = seen[jay[sig[u]]] = True
+        # at an eta-fixed point only 2i >= w is written (module docstring)
+        unfixed = [t for t in reps if jay[sig[t]] != t]
 
         # the exponents from the middle out, the greater first at equal
         # distance: about a fifth of the work of 0..w at k = 16, M = 143
@@ -313,7 +315,7 @@ class PlusQuotient:
             weights = ([(i, 0, 1)]
                        + [(j, 1, (-1) ** j * comb(w - i, j)) for j in range(w - i + 1)]
                        + [(w - i + j, 2, (-1) ** (i + j) * comb(i, j)) for j in range(i + 1)])
-            for t in reps:
+            for t in (reps if 2 * i >= w else unfixed):
                 at = (t, tau[t], tau2[t])
                 row = {}
                 for ii, m, coeff in weights:
@@ -372,16 +374,10 @@ class PlusQuotient:
             if i == 0:
                 row = rows.setdefault(_cusp_class(M, d, c), {})
                 row[col] = row.get(col, 0) - 1
-        chart = self._chart = SpanSolver(rows.values(), self.quotient_dim)
-        self.cuspidal_basis = kernel_basis(chart)
-        self.dim = len(self.cuspidal_basis)
-        # the cuspidal basis in integers: the vector at free column c, times
-        # the pivot lcm P, is P at c and -prow[c] * (P / prow[pc]) at each
-        # pivot pc, so Hecke images over _den * P need no Fraction
-        P = lcm(*(prow[pc] for pc, prow in chart.rows.items()))
-        self._lifts = [[(c, P)] + [(pc, -prow[c] * (P // prow[pc]))
-                                   for pc, prow in chart.rows.items() if c in prow]
-                       for c in chart.free]
+        self._chart = SpanSolver(rows.values(), self.quotient_dim)
+        # the cuspidal basis as integer columns over P, so T_p is over P * _den
+        P, self._lifts = kernel_basis(self._chart)
+        self.dim = len(self._lifts)
         self._scale = P * self._den
         # the free generators the Hecke matrix reads: at level 1 the
         # boundary generator i = w is not among them

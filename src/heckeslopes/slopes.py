@@ -142,7 +142,7 @@ def _violates(p, k, s):
 
     Only slope 0 is allowed, and slope 1 too at p = 2, k = 4.
     """
-    return Fraction(s) not in ({0, 1} if (p == 2 and k == 4) else {0})
+    return s not in ({0, 1} if (p == 2 and k == 4) else {0})
 
 
 def is_regular(p, N, store=None):
@@ -178,9 +178,8 @@ def refinement_pair(v, k):
     the tie case.
     """
     half = Fraction(k - 1, 2)
-    if v is None or Fraction(v) >= half:
+    if v is None or v >= half:
         return SlopeMultiset(((half, 2),))
-    v = Fraction(v)
     return SlopeMultiset.of_slopes((v, k - 1 - v))
 
 

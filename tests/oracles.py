@@ -36,6 +36,7 @@ from math import gcd, isqrt
 from heckeslopes.dimensions import dim_cuspforms
 from heckeslopes.errors import ConsistencyError
 from heckeslopes.exact import SlopeMultiset
+from heckeslopes.linalg import kernel_basis
 from heckeslopes.slopes import is_regular, refinement_pair
 
 
@@ -410,10 +411,11 @@ def hecke_matrix_reference(space, family):
     """Matrix of the Hecke operator given by family on space's cuspidal basis.
 
     Reads only the space's presentation (P^1 list, free generators, the
-    projection table over its common denominator, cuspidal basis).  Each
-    Merel matrix's (aX + bY)^i (cX + dY)^(w-i) is expanded term by term,
-    every term is projected to the quotient in Fractions, and the images
-    are written in the cuspidal basis through the dense rref above.
+    projection table over its common denominator, the boundary chart whose
+    kernel basis, as Fractions, is the cuspidal basis).  Each Merel
+    matrix's (aX + bY)^i (cX + dY)^(w-i) is expanded term by term, every
+    term is projected to the quotient in Fractions, and the images are
+    written in the cuspidal basis through the dense rref above.
     """
     w = space.k - 2
     p1 = space.p1
@@ -438,7 +440,13 @@ def hecke_matrix_reference(space, family):
                 if coeff:
                     for fp, fv in pi[j * npts + t1].items():
                         cols[col][fp] += coeff * fv
-    basis = space.cuspidal_basis
+    P, columns = kernel_basis(space._chart)
+    basis = []
+    for column in columns:
+        vec = [Fraction(0)] * D
+        for idx, x in column:
+            vec[idx] = Fraction(x, P)
+        basis.append(vec)
     d = len(basis)
     images = [[sum(x * cols[r][idx] for r, x in enumerate(bvec) if x)
                for idx in range(D)] for bvec in basis]

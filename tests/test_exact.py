@@ -51,9 +51,21 @@ def test_int_polynomial_basics():
 
 
 def test_int_polynomial_rejects_non_integers():
-    with pytest.raises(ValueError):
-        IntPolynomial([1, Fraction(1, 2)])
-    assert IntPolynomial([1, Fraction(4, 2)]).coeffs == (1, 2)
+    # coefficients go through operator.index: ints only, nothing truncated
+    for c in (0.5, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            IntPolynomial([1, c])
+    assert IntPolynomial(iter([1, -2, 0])).coeffs == (1, -2, 0)
+
+
+def test_fractions_are_refused_with_type_error():
+    # the charpoly and the polynomial class take integers only, an
+    # integral Fraction too; a rational matrix goes in as ints over den
+    for c in (Fraction(1, 2), Fraction(4, 2)):
+        with pytest.raises(TypeError):
+            IntPolynomial([1, c])
+        with pytest.raises(TypeError):
+            inverse_charpoly([[1, 0], [0, c]], root_bound=2)
 
 
 def test_newton_slopes_pins():
@@ -149,13 +161,13 @@ def test_inverse_charpoly_block_diagonal():
 
 def test_inverse_charpoly_rational_entries():
     # half-integral entries, integral charpoly: eigenvalues +1 and -1
-    mat = [[Fraction(7, 2), Fraction(-3, 2)], [Fraction(15, 2), Fraction(-7, 2)]]
-    assert inverse_charpoly(mat, root_bound=1).coeffs == (1, 0, -1)
+    mat = [[7, -3], [15, -7]]
+    assert inverse_charpoly(mat, root_bound=1, den=2).coeffs == (1, 0, -1)
 
 
 def test_inverse_charpoly_rejects_non_integral():
     with pytest.raises(ArithmeticError):
-        inverse_charpoly([[Fraction(1, 2)]], root_bound=1)
+        inverse_charpoly([[1]], root_bound=1, den=2)
     with pytest.raises(ValueError):
         inverse_charpoly([[1, 2, 3], [4, 5, 6]], root_bound=15)
 

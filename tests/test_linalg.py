@@ -17,13 +17,29 @@ def test_rref_pivots():
     assert mat[0] == [1, 2, 0] and mat[1] == [0, 0, 1]
 
 
+def _dense(columns, ncols):
+    """kernel_basis's sparse integer columns as dense integer vectors."""
+    out = []
+    for column in columns:
+        vec = [0] * ncols
+        for c, x in column:
+            vec[c] = x
+        out.append(vec)
+    return out
+
+
 def test_kernel_basis_shape():
     rows = [[1, 2, 0, 1], [0, 0, 1, 3]]
-    basis = kernel_basis(SpanSolver([dict(enumerate(row)) for row in rows], 4))
-    assert len(basis) == 2
-    for vec in basis:
+    P, columns = kernel_basis(SpanSolver([dict(enumerate(row)) for row in rows], 4))
+    # unit pivots: P = 1, and each column is its free column's 1 and the
+    # negated pivot-row entries there
+    assert (P, columns) == (1, [[(1, 1), (0, -2)], [(3, 1), (0, -1), (2, -3)]])
+    for vec in _dense(columns, 4):
         assert sum(r * v for r, v in zip(rows[0], vec)) == 0
         assert sum(r * v for r, v in zip(rows[1], vec)) == 0
+    # pivot entries 2 and 3: the one column is (-1/2, -1/3, 1), over P = 6
+    chart = SpanSolver([{0: 2, 2: 1}, {1: 3, 2: 1}], 3)
+    assert kernel_basis(chart) == (6, [[(2, 6), (0, -3), (1, -2)]])
 
 
 def test_kernel_of_random_systems():
@@ -31,14 +47,20 @@ def test_kernel_of_random_systems():
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
-        basis = kernel_basis(SpanSolver([dict(enumerate(row)) for row in rows], m))
+        P, columns = kernel_basis(SpanSolver([dict(enumerate(row)) for row in rows], m))
         mat, pivots = rref(rows, m)
-        assert len(basis) == m - len(pivots)
-        # the basis read off the dense referee's echelon form, vector for vector
+        assert len(columns) == m - len(pivots)
+        # P is the least common denominator of the reduced echelon form, and
+        # the columns over P are the basis read off the dense referee's
+        # echelon form, vector for vector
+        assert P == lcm(*(x.denominator for row in mat for x in row))
         free = [c for c in range(m) if c not in pivots]
-        assert basis == [tuple(Fraction(c == fc) if c not in pivots
-                               else -mat[pivots.index(c)][fc] for c in range(m))
-                         for fc in free]
+        basis = _dense(columns, m)
+        assert all(type(x) is int for vec in basis for x in vec)
+        assert [[Fraction(x, P) for x in vec] for vec in basis] == [
+            [Fraction(c == fc) if c not in pivots else -mat[pivots.index(c)][fc]
+             for c in range(m)]
+            for fc in free]
         for vec in basis:
             for row in rows:
                 assert sum(r * v for r, v in zip(row, vec)) == 0
@@ -52,12 +74,19 @@ def _cleared(row):
 
 
 def test_charpoly_monic_matches_cofactor_oracle():
+    # an integer matrix B conjugated by diag(d_0, ..., d_(n-1)) is M / den
+    # with M integral and den the lcm of the d_i: its charpoly is B's
     rng = random.Random(9)
     for _ in range(50):
         n = rng.randint(1, 5)
-        mat = [[Fraction(rng.randint(-8, 8)) for _ in range(n)] for _ in range(n)]
-        rho = int(max(sum(abs(x) for x in row) for row in mat))
-        assert list(charpoly_monic(mat, rho)) == charpoly_reference(mat)
+        B = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
+        d = [rng.randint(1, 6) for _ in range(n)]
+        den = lcm(*d)
+        mat = [[B[i][j] * d[j] * (den // d[i]) for j in range(n)] for i in range(n)]
+        rho = max(sum(abs(x) for x in row) for row in B)
+        want = charpoly_reference(B)
+        assert charpoly_reference([[Fraction(x, den) for x in row] for row in mat]) == want
+        assert charpoly_monic(mat, rho, den) == want
 
 
 def test_charpoly_monic_root_bound_path():
@@ -72,8 +101,8 @@ def test_charpoly_monic_root_bound_path():
         assert got == charpoly_reference(mat)
         assert all(type(c) is int for c in got)
     # a rational matrix with integral charpoly: x^2 - 2 from conjugating
-    # [[0, 2], [1, 0]] by diag(1, 3)
-    assert charpoly_monic([[0, Fraction(2, 3)], [3, 0]], root_bound=2) == [-2, 0, 1]
+    # [[0, 2], [1, 0]] by diag(1, 3), [[0, 2/3], [3, 0]] = [[0, 2], [9, 0]] / 3
+    assert charpoly_monic([[0, 2], [9, 0]], root_bound=2, den=3) == [-2, 0, 1]
     # many primes: a 12 x 12 companion matrix of prod (X - 10^9 i)
     roots = [10**9 * i for i in range(-6, 6)]
     coeffs = [1]
@@ -104,12 +133,12 @@ def test_moduli_are_the_primes_below_2_to_127():
 def test_charpoly_monic_root_bound_rejects():
     # integral trace, non-integral charpoly X^2 - X - 1/4
     with pytest.raises(ArithmeticError):
-        charpoly_monic([[1, Fraction(1, 2)], [Fraction(1, 2), 0]], root_bound=2)
+        charpoly_monic([[2, 1], [1, 0]], root_bound=2, den=2)
     # non-integral trace
     with pytest.raises(ArithmeticError):
-        charpoly_monic([[Fraction(1, 2), 0], [0, 0]], root_bound=2)
+        charpoly_monic([[1, 0], [0, 0]], root_bound=2, den=2)
     with pytest.raises(ArithmeticError):
-        charpoly_monic([[Fraction(1, 3)]], root_bound=2)
+        charpoly_monic([[1]], root_bound=2, den=3)
     # integral, but its roots +-2^100 are far outside the promised bound
     with pytest.raises(ArithmeticError):
         charpoly_monic([[0, 1], [2**200, 0]], root_bound=2)
@@ -227,23 +256,24 @@ def _random_rows(rng, nrows, ncols, fractional):
 
 
 def test_span_solver_roundtrip():
-    # SpanSolver(rows, ncols) is the chart of its kernel_basis: an
-    # integer combination of the basis comes back as its coefficients, and
-    # over a common denominator as ints; dependent rows give the same chart
+    # SpanSolver(rows, ncols) is the chart of its kernel_basis: an integer
+    # combination of the columns over P comes back as its coefficients, and
+    # of the columns themselves as P times them; dependent rows give the
+    # same chart
     rng = random.Random(21)
     for trial in range(40):
         ncols = rng.randint(2, 7)
         rows = _random_rows(rng, rng.randint(1, ncols), ncols, trial % 2)
         chart = SpanSolver(rows, ncols)
-        basis = kernel_basis(chart)
+        P, columns = kernel_basis(chart)
+        basis = _dense(columns, ncols)
         assert len(chart.free) == len(basis)
         coeffs = [rng.randint(-5, 5) for _ in basis]
-        target = [sum(c * vec[i] for c, vec in zip(coeffs, basis)) for i in range(ncols)]
-        assert chart.solve(target) == coeffs
-        den = lcm(*(x.denominator for x in target))
-        scaled = [x.numerator * (den // x.denominator) for x in target]
+        scaled = [sum(c * vec[i] for c, vec in zip(coeffs, basis)) for i in range(ncols)]
+        # the coordinates are on the unscaled basis, the columns over P
+        assert chart.solve([Fraction(x, P) for x in scaled]) == coeffs
         got = chart.solve(scaled)
-        assert got == [den * c for c in coeffs] and all(type(x) is int for x in got)
+        assert got == [P * c for c in coeffs] and all(type(x) is int for x in got)
         combo = {}
         for row in rows:
             m = rng.randint(-3, 3)
@@ -267,7 +297,7 @@ def test_span_solver_errors():
         ncols = rng.randint(2, 7)
         rows = _random_rows(rng, rng.randint(1, ncols), ncols, trial % 2)
         chart = SpanSolver(rows, ncols)
-        basis = kernel_basis(chart)
+        basis = _dense(kernel_basis(chart)[1], ncols)
         vec = [sum(rng.randint(-5, 5) * b[i] for b in basis) for i in range(ncols)]
         for c in set(range(ncols)) - set(chart.free):
             moved = list(vec)

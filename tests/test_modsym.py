@@ -92,7 +92,7 @@ def test_image_off_the_cuspidal_subspace_raises(k, M, p, monkeypatch):
     space = PlusQuotient(k, M)
     cols = space._quotient_hecke_columns(p)
     pivot = min(set(range(space.quotient_dim)) - set(space._chart.free))
-    first = next(col for col, x in enumerate(space.cuspidal_basis[0]) if x)
+    first = min(col for col, _ in space._lifts[0])
     cols[first][pivot] += 1
     monkeypatch.setattr(space, "_quotient_hecke_columns", lambda n: cols)
     with pytest.raises(ConsistencyError, match=f"T_{p} does not preserve"):
@@ -434,11 +434,13 @@ def test_presentation_matches_dense_rref(k, M, monkeypatch):
                                       for c, x in enumerate(row) if x and c != j}
 
 
-@pytest.mark.parametrize("k, M", [(2, 7), (2, 13), (2, 21), (6, 30), (12, 70)])
+@pytest.mark.parametrize("k, M", [(2, 7), (2, 13), (2, 21), (6, 30), (12, 70), (12, 1),
+                                  (24, 1), (36, 1), (8, 13)])
 def test_every_relation_projects_to_zero(k, M):
-    # the relations are written at one point per <tau, eta>-orbit, but the
-    # projection must kill every relation on every symbol; levels 7, 13 and
-    # 21 have points fixed by tau
+    # the relations are written at one point per <tau, eta>-orbit, and only
+    # for 2i >= w at a point that eta fixes, but the projection must kill
+    # every relation on every symbol; levels 7, 13 and 21 have points fixed
+    # by tau, and level 1 is one point, fixed by eta
     space = plus_quotient(k, M)
     _, two, three = manin_relations(k, M)
     assert len(three) == (k - 1) * len(space.p1)
@@ -450,7 +452,8 @@ def test_every_relation_projects_to_zero(k, M):
         assert not any(image.values()), rel
 
 
-@pytest.mark.parametrize("k, M", [(2, 7), (2, 13), (2, 21), (4, 11), (6, 9), (8, 1), (4, 12)])
+@pytest.mark.parametrize("k, M", [(2, 7), (2, 13), (2, 21), (4, 11), (6, 9), (8, 1), (4, 12),
+                                  (24, 1), (36, 1), (8, 13)])
 def test_quotient_dim_is_nullity_of_every_relation(k, M):
     ncols, two, three = manin_relations(k, M)
     _, pivots = rref([[rel.get(c, 0) for c in range(ncols)] for rel in two + three], ncols)
