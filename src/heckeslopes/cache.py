@@ -8,9 +8,12 @@ the only way a computed polynomial enters it.  On disk it is one JSON
 object per line, coefficients as decimal strings (they overflow 64 bits
 around weight 20), each record with a sha256 digest of its payload.  A
 line that fails to re-parse, re-verify its digest or schema version, or
-pass the certificate (p prime, the operator and engine its level admits,
-constant term 1, raw degree dim S_k(Gamma_0(N))) is dropped, listed in
-the store's rejects, and the polynomial is recomputed.  Writes go
+pass the certificate (p prime, the operator its level admits, a route in
+ROUTES, constant term 1, raw degree dim S_k(Gamma_0(N))) is dropped,
+listed in the store's rejects, and the polynomial is recomputed.  A
+record names the route that computed it, never the engine that chose
+the route: under the CLI's default engine, "auto", a level-1 polynomial
+is stored under "trace" and every other one under "modsym".  Writes go
 through a temporary file and os.replace, so readers never see a
 half-written cache.  json, hashlib and tempfile are imported where records
 are read, digested or written: a run without a cache file loads none.
@@ -25,7 +28,8 @@ from .exact import IntPolynomial, is_prime
 __all__ = ["CacheRecord", "CharpolyCache", "operator_label"]
 
 SCHEMA_VERSION = 1
-ENGINES = ("modsym", "trace", "both")
+ROUTES = ("modsym", "trace")  # what computes a stored polynomial
+ENGINES = ROUTES + ("both", "auto")  # how a store picks the route of a missing one
 _FIELDS = ("schema", "p", "level", "weight", "operator", "coeffs", "engine")
 
 
@@ -40,7 +44,7 @@ class CacheRecord(NamedTuple):
     weight: int
     operator: str  # "T" or "U"
     coeffs: tuple  # integer coefficients of det(1 - TX), constant first, untrimmed
-    engine: str  # "modsym" or "trace"
+    engine: str  # the route: "modsym" or "trace"
 
     @property
     def key(self):
@@ -103,7 +107,7 @@ class CacheRecord(NamedTuple):
             raise ValueError("level %d or weight %d out of range" % (rec.level, rec.weight))
         if rec.operator != operator_label(rec.p, rec.level):
             raise ValueError("operator %r at p=%d, level=%d" % (rec.operator, rec.p, rec.level))
-        if rec.engine not in ENGINES[:2]:
+        if rec.engine not in ROUTES:
             raise ValueError("engine %r is not a route" % rec.engine)
         dim = dim_cuspforms(rec.weight, rec.level)
         if coeffs[:1] != (1,) or len(coeffs) - 1 != dim:
@@ -116,12 +120,13 @@ class CharpolyCache:
     """Map from (p, level, weight, operator, engine) to cached polynomials.
 
     engine picks how the slope layer computes a missing T_p polynomial:
-    "modsym", "trace", or "both" (compute with each and insist they
-    agree).  path=None keeps the cache purely in memory.  load() never
-    raises on a damaged file: bad lines are collected in self.rejects for
-    the caller to report, and the affected entries get recomputed on
-    demand.  Used as a context manager, the store flushes on leaving the
-    block, also on error.
+    "modsym", "trace", "both" (compute with each and insist they
+    agree), or "auto" (trace at level 1, modsym elsewhere and wherever
+    the trace route is out of budget).  path=None keeps the cache purely
+    in memory.  load() never raises on a damaged file: bad lines are
+    collected in self.rejects for the caller to report, and the affected
+    entries get recomputed on demand.  Used as a context manager, the
+    store flushes on leaving the block, also on error.
     """
 
     def __init__(self, path=None, engine="modsym"):

@@ -107,8 +107,10 @@ def _add_cache(sub):
 
 
 def _add_common(sub, fmt_default="text"):
-    sub.add_argument("--engine", choices=ENGINES,
-                     default="modsym", help="characteristic polynomial engine")
+    sub.add_argument("--engine", choices=ENGINES, default="auto",
+                     help="characteristic polynomial engine: modsym, trace, both (each, "
+                          "and they must agree) or auto (the default: trace at level 1, "
+                          "modsym elsewhere and where trace is out of budget)")
     _add_cache(sub)
     sub.add_argument("--format", dest="fmt", choices=FORMATS, default=fmt_default)
 

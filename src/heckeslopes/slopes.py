@@ -8,7 +8,12 @@ slope v_p(a_p) alone.
 
 The witness search reads its U_p band from the level-N assembly at every
 weight, so every report reads only level-N T_p polynomials, through the
-engine the store picks.  up_slopes_direct, the level-Np modsym run, is
+engine the store picks: "modsym", "trace", "both" (each, and they must
+agree) or "auto", the command line's default.  "auto" takes a level-1
+polynomial from the trace route, several times faster there, and stores
+it under "trace"; every other level, and a level-1 polynomial the trace
+route refuses with TraceBudgetExceeded, goes through modsym.  store=None
+computes with modsym.  up_slopes_direct, the level-Np modsym run, is
 the independent check of that assembly (crosscheck, criteria 4 and 6)
 and no report calls it.  The search runs to the bound it is given.
 Choosing that bound and comparing the witness with {j, j + (p-1)} is
@@ -20,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .dimensions import dim_cuspforms, dim_new_at_p
-from .errors import ConsistencyError
+from .errors import ConsistencyError, TraceBudgetExceeded
 from .exact import SlopeMultiset, is_prime, newton_slopes
 
 __all__ = [
@@ -85,8 +90,12 @@ def _fetch(store, p, level, k, route, compute):
 
 def _charpoly(k, N, p, store):
     engine = "modsym" if store is None else store.engine
-    if engine == "trace":
-        return _fetch(store, p, N, k, "trace", lambda: charpoly_from_traces(k, N, p))
+    if engine == "trace" or (engine == "auto" and N == 1):
+        try:
+            return _fetch(store, p, N, k, "trace", lambda: charpoly_from_traces(k, N, p))
+        except TraceBudgetExceeded:
+            if engine == "trace":
+                raise  # only auto falls back to modsym
     f = _fetch(store, p, N, k, "modsym", lambda: _modsym_charpoly(k, N, p))
     if engine == "both":
         g = _fetch(store, p, N, k, "trace", lambda: charpoly_from_traces(k, N, p))
@@ -177,7 +186,11 @@ def refinement_pair(v, k):
     otherwise.  v = None, a zero eigenvalue (no finite slope), lands in
     the tie case.
     """
-    half = Fraction(k - 1, 2)
+    return _refinement_pair(v, k, Fraction(k - 1, 2))
+
+
+def _refinement_pair(v, k, half):
+    """refinement_pair(v, k), given half = Fraction(k - 1, 2)."""
     if v is None or v >= half:
         return SlopeMultiset(((half, 2),))
     return SlopeMultiset.of_slopes((v, k - 1 - v))
@@ -204,10 +217,11 @@ def up_assembly(ctx, store=None):
     slopes, zero_count = tp_slopes(ctx, store)
     new_slope = Fraction(ctx.k - 2, 2)
     new_mult = dim_new_at_p(ctx.k, ctx.N, ctx.p)
+    half = Fraction(ctx.k - 1, 2)
     pairs = []
     counts = [(new_slope, new_mult)]
     for v, m in slopes.entries + ((None, zero_count),):
-        pair = refinement_pair(v, ctx.k)
+        pair = _refinement_pair(v, ctx.k, half)
         pairs += [(v, pair)] * m
         counts += [(s, n * m) for s, n in pair]
     return UpSlopeAssembly(ctx.p, ctx.N, ctx.k, tuple(pairs), new_slope, new_mult,

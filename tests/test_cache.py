@@ -95,12 +95,13 @@ def test_record_rejects_malformed_values():
     ((2, 11, 4, "T", (1, 0, 0, 0, 0), "modsym"), "raw degree 4; expected .* dim 2"),
     ((2, 11, 4, "U", (1, -2, -2), "modsym"), "operator 'U'"),
     ((2, 11, 4, "T", (1, -2, -2), "both"), "engine 'both'"),
+    ((2, 1, 12, "T", (1, 24), "auto"), "engine 'auto'"),
     ((0, 11, 4, "T", (1, -2, -2), "modsym"), "p = 0"),  # no ZeroDivisionError
     ((4, 11, 4, "T", (1, -2, -2), "modsym"), "p = 4"),
     ((2, 0, 4, "U", (1,), "modsym"), "level 0"),
     ((2, 11, 3, "T", (1,), "modsym"), "weight 3"),
 ], ids=["c0=2", "degree-below-dim", "degree-above-dim", "U-at-p-prime-to-level",
-        "engine-both", "p=0", "p=4", "level=0", "odd-weight"])
+        "engine-both", "engine-auto", "p=0", "p=4", "level=0", "odd-weight"])
 def test_record_certificate_rejects_a_digest_valid_forgery(fields, reason):
     # each line carries a valid digest, so only the certificate can refuse it
     with pytest.raises(ValueError, match=reason):

@@ -21,7 +21,7 @@ import pytest
 from heckeslopes import modsym, traceforms
 from heckeslopes.cache import CacheRecord, CharpolyCache
 from heckeslopes.cli import main
-from heckeslopes.errors import ConsistencyError
+from heckeslopes.errors import ConsistencyError, TraceBudgetExceeded
 from heckeslopes.exact import IntPolynomial
 from heckeslopes.slopes import default_witness_bound, is_regular, witness_label
 from heckeslopes.survey import (
@@ -218,6 +218,51 @@ def test_trace_reports_need_no_modsym(monkeypatch, capsys):
     assert capsys.readouterr().out == witness_out
     assert main(survey + ["--engine", "trace"]) == 3
     assert capsys.readouterr().out == survey_out
+
+
+def _routes(path):
+    """The (level, route) of every record in a cache file."""
+    return {(rec.level, rec.engine) for rec in CharpolyCache(path).records.values()}
+
+
+def test_default_engine_takes_level_1_from_the_trace_route(tmp_path, capsys):
+    witness = ["witness", "--p", "59", "--N", "1", "--k-max", "36"]
+    path = str(tmp_path / "auto.jsonl")
+    assert main(witness + ["--cache", path]) == 3
+    out = capsys.readouterr().out
+    assert _routes(path) == {(1, "trace")}
+    assert main(witness + ["--cache", "", "--engine", "modsym"]) == 3
+    assert capsys.readouterr().out == out
+
+
+def test_default_engine_keeps_level_11_on_modsym(tmp_path, capsys):
+    slopes = ["slopes", "--p", "2", "--N", "11", "--k-max", "8"]
+    path = str(tmp_path / "auto.jsonl")
+    assert main(slopes + ["--cache", path]) == 0
+    out = capsys.readouterr().out
+    assert _routes(path) == {(11, "modsym")}
+    assert main(slopes + ["--cache", "", "--engine", "modsym"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_default_engine_falls_back_to_modsym_past_the_trace_budget(tmp_path, monkeypatch,
+                                                                   capsys):
+    slopes = ["slopes", "--p", "2", "--N", "1", "--k-max", "24"]
+    assert main(slopes + ["--cache", "", "--engine", "modsym"]) == 0
+    modsym_out = capsys.readouterr().out
+
+    def refuse(k, N, p):
+        raise TraceBudgetExceeded("refused at (k=%d, N=%d, p=%d)" % (k, N, p))
+
+    monkeypatch.setattr("heckeslopes.slopes.charpoly_from_traces", refuse)
+    path = str(tmp_path / "auto.jsonl")
+    assert main(slopes + ["--cache", path]) == 0
+    assert capsys.readouterr() == (modsym_out, "")
+    assert _routes(path) == {(1, "modsym")}
+    # only auto falls back: --engine trace still reports the refusal
+    assert main(slopes + ["--cache", "", "--engine", "trace"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: refused at (k=12, N=1, p=2)\n"
 
 
 def test_pool_is_no_larger_than_the_grid(monkeypatch):
@@ -683,7 +728,8 @@ def _forged_cache(path, *fields):
 
 
 @pytest.mark.parametrize("argv, fields", [
-    (["slopes", "--p", "2", "--N", "1", "--k-max", "12"], (2, 1, 12, "T", (2, 24), "modsym")),
+    (["slopes", "--p", "2", "--N", "1", "--k-max", "12", "--engine", "modsym"],
+     (2, 1, 12, "T", (2, 24), "modsym")),
     (["regularity", "--p", "2", "--N", "11"], (2, 11, 4, "T", (1, 0, 0, 0, 0), "modsym")),
     (["regularity", "--p", "2", "--N", "11"], (2, 11, 4, "T", (1, 0, 0, 0, 1), "modsym")),
 ], ids=["slopes-c0=2", "regularity-zero-count-2", "regularity-zero-count-minus-2"])
@@ -773,7 +819,7 @@ def test_cli_start_up_loads_only_what_the_run_uses(tmp_path):
              "('heckeslopes.modsym', 'heckeslopes.traceforms', 'hashlib', 'json', "
              "'tempfile')))")
     run = _fresh_python("-S", "-c", probe)
-    assert run.stdout.splitlines()[-1] == "3 ['heckeslopes.modsym']", run.stderr
+    assert run.stdout.splitlines()[-1] == "3 ['heckeslopes.traceforms']", run.stderr
     # the trace engine loads traceforms at its first polynomial
     trace = _fresh_python("-S", "-X", "importtime", "-m", "heckeslopes.cli", "slopes",
                           "--p", "2", "--N", "11", "--k-max", "4", "--engine", "trace",
