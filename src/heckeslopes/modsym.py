@@ -36,7 +36,7 @@ The cuspidal subspace is the kernel of the boundary map to star-folded
 cusp classes, its rows keyed by cusp class, read off the P^1 point (see
 _cusp_class); its dimension is asserted against the dimension formula
 on every build.  T_p at p not dividing M and U_p at p | M both act through
-Cremona's Heilbronn matrices (nearest-integer continued fractions of r/p),
+Cremona's Heilbronn matrices (the nearest-integer continued fraction of r/p),
 dropping images whose bottom row is not primitive mod M.  One family
 serves both because it satisfies Merel's criterion for acting as T_p on
 Manin symbols at every level with that drop ("Universal Fourier
@@ -58,8 +58,8 @@ integer columns over the lcm P of the chart's pivot entries, and it
 reads the images' coordinates off the free columns.  The images of
 those columns are summed in integers too, so T_p on the cuspidal
 basis is an integer matrix over one denominator, P * _den, with no
-Fraction between the relations and the characteristic polynomial;
-hecke_matrix is its Fraction view.
+fraction between the relations and the characteristic polynomial:
+hecke_matrix returns the pair (A, d), and T_p is A / d.
 
 Cremona's family is closed, up to sign, under h -> JhJ, J = [-1,0;0,1]
 (at p = 2 two members have no partner), and x.(JhJ) = ((x.J).h).J is
@@ -70,13 +70,12 @@ are one point and only even i are live, so the product is doubled.  A
 single h does not act on the quotient, only the family does (Merel), so
 the pairs are summed over the whole family before any projection.
 Columns are assembled only for the free generators in the support of
-the cuspidal basis, the only ones integer_hecke_matrix reads.
+the cuspidal basis, the only ones hecke_matrix reads.
 
 T_p's characteristic polynomial is multimodular (see linalg), bounded by
 Deligne's |a_p| <= 2 p^((k-1)/2), which also bounds U_p at p | M.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb, gcd, isqrt, lcm
@@ -456,7 +455,7 @@ class PlusQuotient:
             cols[col] = vec
         return cols
 
-    def integer_hecke_matrix(self, p):
+    def hecke_matrix(self, p):
         """(A, d): T_p (U_p when p | M) on the cuspidal basis is A / d, p prime.
 
         A is an integer matrix and d = _den times the chart's pivot lcm:
@@ -481,12 +480,6 @@ class PlusQuotient:
                     f"(k={self.k}, M={self.M})") from None
         return [list(row) for row in zip(*images)], self._scale
 
-    def hecke_matrix(self, p):
-        """Matrix of T_p (U_p when p | M) on the cuspidal basis, p prime,
-        as Fractions: the view of integer_hecke_matrix."""
-        A, d = self.integer_hecke_matrix(p)
-        return [[Fraction(a, d) for a in row] for row in A]
-
 
 # Besides the charpoly store, which keys polynomials by p, the memos are
 # this one and _hecke_family's: one built space serves T_p for every p,
@@ -502,7 +495,7 @@ def charpoly_cuspidal(k, M, p):
     Raw degree always equals dim S_k, so trailing zero coefficients record
     zero eigenvalues.
     """
-    A, d = plus_quotient(k, M).integer_hecke_matrix(p)
+    A, d = plus_quotient(k, M).hecke_matrix(p)
     # Deligne: every eigenvalue of T_p, and of U_p at p | M, has absolute
     # value at most 2 p^((k-1)/2)
     return inverse_charpoly(A, root_bound=2 * (isqrt(p ** (k - 1)) + 1), den=d)

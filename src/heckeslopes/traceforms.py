@@ -18,7 +18,6 @@ table of Hurwitz class numbers, kept small by small n.
 """
 
 import threading
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .dimensions import dim_cuspforms, psi_index
@@ -191,7 +190,7 @@ def trace_tn(k, N, n):
         total += 24 * sum(c for c in divisors(n) if gcd(c, N) == 1)
     if total % 24:
         raise ArithmeticError(
-            f"non-integral trace {Fraction(total, 24)} at (k={k}, N={N}, n={n})")
+            f"non-integral trace {total}/24 at (k={k}, N={N}, n={n})")
     return total // 24
 
 
@@ -275,7 +274,7 @@ def _faddeev_leverrier(A_cols, den):
         div = m * den ** m
         if tr % div:
             raise ArithmeticError(
-                f"non-integral charpoly coefficient {Fraction(-tr, div)}")
+                f"non-integral charpoly coefficient {-tr}/{div}")
         coeffs.append(-tr // div)
         for i in range(dim):
             AM[i][i] -= tr // m

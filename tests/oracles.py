@@ -458,6 +458,16 @@ def hecke_matrix_reference(space, family):
     return [[red[i][d + j] for j in range(d)] for i in range(d)]
 
 
+def hecke_fractions(space, p):
+    """The package's T_p on space's cuspidal basis, A / d as Fractions.
+
+    Not a referee: space.hecke_matrix(p) returns the integer pair (A, d),
+    and this spells it in the form the referees here compare against.
+    """
+    A, d = space.hecke_matrix(p)
+    return [[Fraction(a, d) for a in row] for row in A]
+
+
 # ----------------------------------------------------------------------
 # P^1(Z/M) by reducing each pair on its own
 

@@ -31,7 +31,7 @@ from heckeslopes.traceforms import (
     trace_tn,
 )
 
-from oracles import delta_coefficients, p2_refinement_check
+from oracles import delta_coefficients, hecke_fractions, p2_refinement_check
 
 GRID = [(k, N, p) for k in range(2, 17, 2) for N in range(1, 15)
         for p in (2, 3, 5, 7, 11, 13) if N % p]
@@ -93,7 +93,7 @@ def test_criterion_3_delta_oracle():
     primes = [2, 3, 5, 7, 11, 13, 17, 19]
     for n in primes:
         assert trace_tn(12, 1, n) == tau[n], n
-        assert plus_quotient(12, 1).hecke_matrix(n) == [[Fraction(tau[n])]], n
+        assert hecke_fractions(plus_quotient(12, 1), n) == [[Fraction(tau[n])]], n
     _verdict(3, True,
              "trace and matrix eigenvalue match the q-expansion at %d primes"
              % len(primes), t0, 10)

@@ -34,7 +34,7 @@ def test_traced_cli_matches_plain_cli_and_records_linalg_spans(tmp_path):
     assert traced.returncode == plain.returncode, traced.stderr
     assert traced.stdout == plain.stdout
     stats = json.loads(stats_path.read_text())
-    for layer in ("linalg.kernel", "linalg.span_solve"):
+    for layer in ("linalg.kernel", "linalg.span_solve", "modsym.hecke"):
         assert stats["seconds"][layer][2] > 0, layer  # [total s, self s, calls]
-    for counter in ("cache.hits", "cache.misses"):
+    for counter in ("cache.hits", "cache.misses", "modsym.hecke_matrices"):
         assert stats["counts"][counter] > 0, counter
